@@ -25,73 +25,61 @@ from .crosswalk import (
 
 from .ldservice import LinkedDataApp, serve
 from .multistore import StoreError, load_manifest
-from .ntriples import format_triple, parse_ntriples, serialize_ntriples
+from .ntriples import format_triple, load_ntriples, serialize_ntriples
 from .skosmodel import (
     Severity,
     diagnostics_json,
     diagnostics_tsv,
-    make_diagnostic,
     resolve_xl_labels,
     validate_skos,
 )
-from .terms import Iri, Literal, PrefixMap, TermError
+from .terms import TermError, parse_pattern
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC_ERRORS = 1
 EXIT_FAILURE = 2
 
 
-def _emit_report(diags, json_mode: bool, out=None):
+def _finish(diags, json_mode: bool = False, out=None) -> int:
+    """Print the diagnostics report; exit code 1 if it holds an Error, else 0."""
     out = out or sys.stdout
     if json_mode:
         out.write(diagnostics_json(diags) + "\n")
     else:
         out.write(diagnostics_tsv(diags))
+    if any(d.severity is Severity.ERROR for d in diags):
+        return EXIT_DIAGNOSTIC_ERRORS
+    return EXIT_OK
 
 
-def _has_errors(diags) -> bool:
-    return any(d.severity is Severity.ERROR for d in diags)
-
-
-def _read(path) -> bytes:
-    return Path(path).read_bytes()
+def _load_folded(path):
+    """Load one N-Triples file with its SKOS-XL labels folded into plain SKOS."""
+    g, diags = load_ntriples(path)
+    g, xl_diags = resolve_xl_labels(g)
+    return g, diags + xl_diags
 
 
 def cmd_validate(args) -> int:
     diags = []
     try:
         for path in args.files:
-            g, errors = parse_ntriples(_read(path))
-            for err in errors:
-                diags.append(
-                    make_diagnostic("NT_SYNTAX", message=err.message, source_location=(str(path), err.line))
-                )
-            g, xl_diags = resolve_xl_labels(g)
-            diags.extend(xl_diags)
+            g, load_diags = _load_folded(path)
+            diags.extend(load_diags)
             diags.extend(validate_skos(g))
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
-    _emit_report(diags, args.report_json)
-    return EXIT_DIAGNOSTIC_ERRORS if _has_errors(diags) else EXIT_OK
-
-
-def _load_scheme_view(path):
-    g, errors = parse_ntriples(_read(path))
-    diags = [
-        make_diagnostic("NT_SYNTAX", message=e.message, source_location=(str(path), e.line))
-        for e in errors
-    ]
-    g, xl_diags = resolve_xl_labels(g)
-    return build_scheme_view(g), diags + xl_diags
+    return _finish(diags, args.report_json)
 
 
 def cmd_convert(args) -> int:
     try:
-        source_view, diags = _load_scheme_view(args.source)
-        target_view, target_diags = _load_scheme_view(args.target)
+        source, diags = _load_folded(args.source)
+        target, target_diags = _load_folded(args.target)
         diags.extend(target_diags)
-        crosswalk_data = _read(args.crosswalk)
+        source_view = build_scheme_view(source)
+        target_view = build_scheme_view(target)
+        crosswalk_data = Path(args.crosswalk).read_bytes()
     except (OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
@@ -115,8 +103,7 @@ def cmd_convert(args) -> int:
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
-    _emit_report(diags, args.report_json)
-    return EXIT_DIAGNOSTIC_ERRORS if _has_errors(diags) else EXIT_OK
+    return _finish(diags, args.report_json)
 
 
 def cmd_merge(args) -> int:
@@ -127,8 +114,7 @@ def cmd_merge(args) -> int:
     except (StoreError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
-    _emit_report(diags, args.report_json, out=sys.stderr)
-    return EXIT_OK
+    return _finish(diags, args.report_json, out=sys.stderr)
 
 
 def cmd_serve(args) -> int:
@@ -138,6 +124,7 @@ def cmd_serve(args) -> int:
     except StoreError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
+    sys.stderr.write(diagnostics_tsv(diags))
     listen = args.listen or os.environ.get("SKOSHUB_LISTEN") or config.listen
     app = LinkedDataApp(store, config)
     try:
@@ -148,47 +135,16 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def _builtin_prefix_map() -> PrefixMap:
-    pm = PrefixMap()
-    for prefix, namespace in ns.BUILTIN_PREFIXES.items():
-        pm.bind(prefix, Iri(namespace))
-    return pm
-
-
-def _parse_cli_term(token: str, prefixes: PrefixMap):
-    token = token.strip()
-    if token.startswith("<") and token.endswith(">"):
-        return Iri(token[1:-1])
-    if token.startswith('"'):
-        import re
-
-        m = re.match(r'^"(.*)"(?:@([A-Za-z0-9-]+)|\^\^<([^>]+)>)?$', token)
-        if not m:
-            raise ValueError("malformed literal: %r" % token)
-        lex, lang, dt = m.groups()
-        return Literal(lex, lang=lang.lower() if lang else None, datatype=Iri(dt) if dt else None)
-    if not token.startswith(("http://", "https://", "urn:")):
-        expanded = prefixes.expand(token)
-        if expanded is not None:
-            return expanded
-    return Iri(token)
-
-
 def cmd_query(args) -> int:
     try:
-        store, _, _ = load_manifest(args.manifest)
-        prefixes = store.combined_prefix_map()
-        s = _parse_cli_term(args.subject, prefixes) if args.subject else None
-        p = _parse_cli_term(args.predicate, prefixes) if args.predicate else None
-        o = _parse_cli_term(args.object, prefixes) if args.object else None
-        if p is not None and not isinstance(p, Iri):
-            raise ValueError("predicate must be an IRI")
-    except (StoreError, ValueError, TermError) as e:
+        store, _, diags = load_manifest(args.manifest)
+        s, p, o = parse_pattern(args.subject, args.predicate, args.object, store.combined_prefix_map())
+    except (StoreError, TermError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
     for t in store.export_merged().match(s=s, p=p, o=o):
         sys.stdout.write(format_triple(t) + "\n")
-    return EXIT_OK
+    return _finish(diags, out=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import namespaces as ns
 from .graph import Graph
-from .skosmodel import Concept, Diagnostic, extract_concept, make_diagnostic
+from .skosmodel import Diagnostic, make_diagnostic
 from .terms import Iri, Literal, Triple
 
 
@@ -42,10 +42,6 @@ INVERSE_PROPERTY = {
     ns.SKOS_NARROW_MATCH: ns.SKOS_BROAD_MATCH,
     ns.SKOS_RELATED_MATCH: ns.SKOS_RELATED_MATCH,
 }
-
-
-def map_relation(r: RelationCode) -> Iri:
-    return RELATION_PROPERTY[r]
 
 
 @dataclass(frozen=True)
@@ -131,9 +127,6 @@ class SchemeView:
                     self._nonpref.setdefault(key, set()).add((concept, "alt"))
                 elif t.predicate == ns.SKOS_HIDDEN_LABEL:
                     self._nonpref.setdefault(key, set()).add((concept, "hidden"))
-
-    def concept_view(self, iri: Iri) -> Optional[Concept]:
-        return extract_concept(self.graph, iri)
 
 
 def build_scheme_view(graph: Graph, scheme: Optional[Iri] = None) -> SchemeView:
@@ -384,7 +377,7 @@ def convert_entry(
     else:
         edge = MappingEdge(
             source=src,
-            property=map_relation(entry.relation),
+            property=RELATION_PROPERTY[entry.relation],
             targets=(tgts[0],),
             provenance=loc,
         )

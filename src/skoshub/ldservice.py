@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import html
 import logging
-import re
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-from urllib.parse import parse_qs, quote, urlsplit
+from urllib.parse import parse_qs, quote, unquote, urlsplit
 
 from . import namespaces as ns
 from .graph import Graph
 from .multistore import MultiStore, ServiceConfig
 from .ntriples import format_triple, serialize_ntriples
 from .skosmodel import extract_concept
-from .terms import Iri, Literal, TermError, Triple
+from .terms import Iri, Literal, TermError, Triple, parse_pattern
 from .turtle import serialize_turtle
 
 log = logging.getLogger("skoshub.ldservice")
@@ -197,7 +196,10 @@ class LinkedDataApp:
             return self._not_found()
         kind = segments[1]
         rest = "/".join(segments[2:])
-        iri = Iri(reg.base_iri.value + rest)
+        try:
+            iri = Iri(reg.base_iri.value + unquote(rest))
+        except TermError:
+            return self._not_found()
         if kind == "resource":
             return self._resource(reg, rest, iri, headers)
         if kind == "page":
@@ -301,10 +303,7 @@ class LinkedDataApp:
             partner_title = partner_reg.title if partner_reg else ""
             prop_local = ref.property.value.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
             if ref.members is not None and ref.direction == "outbound":
-                member_links = ", ".join(
-                    self._link(m, d.neighbor_labels.get(m) or self.store.label_of(m, lang_pref))
-                    for m in ref.members
-                )
+                member_links = ", ".join(self._link(m, d.neighbor_labels.get(m)) for m in ref.members)
                 rows.append(
                     "<li>%s: combination of %s</li>" % (html.escape(prop_local), member_links)
                 )
@@ -346,33 +345,12 @@ class LinkedDataApp:
 
     # --- query endpoint ----------------------------------------------------
 
-    def _parse_term_param(self, token: str):
-        token = token.strip()
-        if not token:
-            raise ValueError("empty term")
-        if token.startswith("<") and token.endswith(">"):
-            return Iri(token[1:-1])
-        if token.startswith('"'):
-            m = re.match(r'^"(.*)"(?:@([A-Za-z0-9-]+)|\^\^<([^>]+)>)?$', token)
-            if not m:
-                raise ValueError("malformed literal token: %r" % token)
-            lex, lang, dt = m.groups()
-            return Literal(lex, lang=lang.lower() if lang else None, datatype=Iri(dt) if dt else None)
-        expanded = self.store.combined_prefix_map().expand(token)
-        if expanded is not None and not token.startswith(("http:", "https:", "urn:")):
-            return expanded
-        return Iri(token)
-
     def _query(self, query, scope) -> Response:
         try:
-            s = self._parse_term_param(query["s"]) if "s" in query else None
-            p = self._parse_term_param(query["p"]) if "p" in query else None
-            o = self._parse_term_param(query["o"]) if "o" in query else None
-            if p is not None and not isinstance(p, Iri):
-                raise ValueError("predicate must be an IRI")
-            if s is not None and isinstance(s, Literal):
-                raise ValueError("subject cannot be a literal")
-        except (ValueError, TermError) as e:
+            s, p, o = parse_pattern(
+                query.get("s"), query.get("p"), query.get("o"), self.store.combined_prefix_map()
+            )
+        except TermError as e:
             return Response(400, {"Content-Type": "text/plain; charset=utf-8"}, ("bad term: %s\n" % e).encode("utf-8"))
         if scope is not None:
             g = scope.graph
@@ -396,10 +374,17 @@ class LinkedDataApp:
 def make_server(app: LinkedDataApp, host: str, port: int) -> ThreadingHTTPServer:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # headers and body go out in separate writes; without TCP_NODELAY the
+        # body waits for the client's delayed ACK on a kept-alive connection
+        disable_nagle_algorithm = True
 
         def _respond(self, method):
             start = time.monotonic()
-            resp = app.handle(method, self.path, dict(self.headers))
+            try:
+                resp = app.handle(method, self.path, dict(self.headers))
+            except Exception:
+                log.exception("%s %s failed", method, self.path)
+                resp = Response(500, {"Content-Type": "text/plain; charset=utf-8"}, b"internal server error\n")
             self.send_response(resp.status)
             for k, v in resp.headers.items():
                 self.send_header(k, v)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import namespaces as ns
 from .graph import Graph
-from .ntriples import parse_ntriples
+from .ntriples import load_ntriples
 from .skosmodel import Concept, Diagnostic, extract_concept, make_diagnostic
 from .terms import Iri, Literal, PrefixMap
 
@@ -223,6 +223,16 @@ class ServiceConfig:
     default_lang: str = "en"
 
 
+def _load_entry(base_dir: Path, entry: dict, kind: str):
+    """Graph and parse diagnostics of the file a manifest entry names."""
+    try:
+        return load_ntriples(base_dir / entry["file"])
+    except KeyError as e:
+        raise StoreError("%s entry missing key %s" % (kind, e))
+    except OSError as e:
+        raise StoreError("cannot read %s: %s" % (entry.get("file"), e))
+
+
 def load_manifest(path):
     """Build a MultiStore (plus diagnostics and service config) from a JSON manifest.
 
@@ -248,22 +258,8 @@ def load_manifest(path):
     store = MultiStore(ext_namespace=manifest.get("ext_namespace", ns.DEFAULT_EXT_NS))
     diags: list[Diagnostic] = []
     for entry in manifest.get("thesauri", []):
-        try:
-            nt_path = base_dir / entry["file"]
-            data = nt_path.read_bytes()
-        except KeyError as e:
-            raise StoreError("thesaurus entry missing key %s" % e)
-        except OSError as e:
-            raise StoreError("cannot read %s: %s" % (entry.get("file"), e))
-        graph, errors = parse_ntriples(data)
-        for err in errors:
-            diags.append(
-                make_diagnostic(
-                    "NT_SYNTAX",
-                    message=err.message,
-                    source_location=(str(nt_path), err.line),
-                )
-            )
+        graph, file_diags = _load_entry(base_dir, entry, "thesaurus")
+        diags.extend(file_diags)
         pm = PrefixMap()
         for prefix, namespace in entry.get("prefixes", {}).items():
             pm.bind(prefix, Iri(namespace))
@@ -277,22 +273,8 @@ def load_manifest(path):
             )
         )
     for entry in manifest.get("mappings", []):
-        try:
-            nt_path = base_dir / entry["file"]
-            data = nt_path.read_bytes()
-        except KeyError as e:
-            raise StoreError("mapping entry missing key %s" % e)
-        except OSError as e:
-            raise StoreError("cannot read %s: %s" % (entry.get("file"), e))
-        graph, errors = parse_ntriples(data)
-        for err in errors:
-            diags.append(
-                make_diagnostic(
-                    "NT_SYNTAX",
-                    message=err.message,
-                    source_location=(str(nt_path), err.line),
-                )
-            )
+        graph, file_diags = _load_entry(base_dir, entry, "mapping")
+        diags.extend(file_diags)
         diags.extend(store.load_mappings(entry["id"], graph))
     svc = manifest.get("service", {})
     config = ServiceConfig(

@@ -1,18 +1,20 @@
 """Line-based N-Triples reader and canonical writer.
 
-The reader is line-recoverable: every bad line becomes a ParseError record
-with its 1-based line number and parsing continues. The writer emits one
-triple per line in canonical order (subject, predicate, object; literals
-after IRIs; raw UTF-8 byte comparison), so output is a pure function of
-graph content.
+The reader is line-recoverable: every bad line, including one that is not
+valid UTF-8, becomes a ParseError record with its 1-based line number and
+parsing continues. The writer emits one triple per line in canonical order
+(subject, predicate, object; literals after IRIs; raw UTF-8 byte
+comparison), so output is a pure function of graph content.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from .graph import Graph
+from .skosmodel import make_diagnostic
 from .terms import BlankNode, Iri, Literal, Term, TermError, Triple
 
 
@@ -199,23 +201,38 @@ def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
     """Parse N-Triples input; every bad line becomes a ParseError record."""
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            lines = data.decode("utf-8").split("\n")
         except UnicodeDecodeError:
-            text = data.decode("utf-8", errors="replace")
+            # decode line by line so only the undecodable lines are lost
+            lines = data.split(b"\n")
     else:
-        text = data
+        lines = data.split("\n")
     g = Graph()
     errors: list[ParseError] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
+    for lineno, line in enumerate(lines, start=1):
         try:
-            t = parse_line(line)
-        except (_LineSyntaxError, TermError) as e:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            t = parse_line(line.rstrip("\r"))
+        except (UnicodeDecodeError, _LineSyntaxError, TermError) as e:
             errors.append(ParseError(lineno, str(e)))
             continue
         if t is not None:
             g.insert(t)
     return g, errors
+
+
+def load_ntriples(path) -> Tuple[Graph, list]:
+    """Read and parse one N-Triples file.
+
+    Returns the graph and one NT_SYNTAX Diagnostic per bad line, located at
+    (file, line). OSError from reading the file propagates.
+    """
+    g, errors = parse_ntriples(Path(path).read_bytes())
+    return g, [
+        make_diagnostic("NT_SYNTAX", message=e.message, source_location=(str(path), e.line))
+        for e in errors
+    ]
 
 
 def _escape(s: str) -> str:

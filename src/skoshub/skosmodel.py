@@ -53,7 +53,7 @@ DIAGNOSTIC_REGISTRY = {
     "DANGLING_MAPPING_TARGET": (Severity.INFO, "mapping object not present in any registered graph"),
     "XL_NO_LITERAL_FORM": (Severity.WARNING, "SKOS-XL label resource without a literalForm"),
     "MAPPING_GRAPH_FOREIGN_TRIPLE": (Severity.WARNING, "non-mapping predicate inside a mapping graph"),
-    "NT_SYNTAX": (Severity.ERROR, "malformed N-Triples line"),
+    "NT_SYNTAX": (Severity.ERROR, "malformed N-Triples line, or one that is not valid UTF-8"),
     "XWALK_SYNTAX": (Severity.ERROR, "malformed crosswalk line"),
     "XWALK_OK": (Severity.INFO, "crosswalk entry converted cleanly"),
     "XWALK_NONPREFERRED": (Severity.ERROR, "term resolves only to a non-preferred label under strict policy"),

@@ -1,12 +1,24 @@
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from urllib.parse import quote
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skoshub.cli import main
+from skoshub.ldservice import LinkedDataApp
+from skoshub.multistore import load_manifest
 from skoshub.ntriples import parse_ntriples
 
-from conftest import FIXTURES, LISTING1_LINE
+from conftest import FIXTURES, LISTING1_LINE, SKOS, STW_CONCEPT, THESOZ_CONCEPT
+
+SRC = FIXTURES.parents[1] / "src"
 
 INVERSE_LINE = (
     "<http://zbw.eu/stw/descriptor/11971-0> "
@@ -200,3 +212,110 @@ class TestInvocation:
         assert main(["convert", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--nonpreferred" in out
+
+
+@pytest.fixture()
+def broken_thesoz(tmp_path):
+    """A copy of the TheSoz fixture with a bad line 3, and a manifest that loads it."""
+    lines = (FIXTURES / "mini_thesoz.nt").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, "<http://lod.gesis.org/thesoz/concept/1> <broken")
+    bad = tmp_path / "mini_thesoz.nt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest = json.loads((FIXTURES / "manifest.json").read_text())
+    for entry in manifest["thesauri"] + manifest["mappings"]:
+        if entry["file"] != bad.name:
+            entry["file"] = str(FIXTURES / entry["file"])
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    return bad, manifest_path
+
+
+class TestOneLoader:
+    def test_every_command_reports_the_same_bad_line(self, broken_thesoz, tmp_path, capsys):
+        bad, manifest_path = broken_thesoz
+        expected = [("NT_SYNTAX", str(bad), 3)]
+
+        def located(report):
+            return [(r["code"], *r["source"]) for r in json.loads(report) if r["code"] == "NT_SYNTAX"]
+
+        code, out, _ = run(["validate", "--report-json", str(bad)], capsys)
+        assert (code, located(out)) == (1, expected)
+        code, out, _ = run(
+            [
+                "convert",
+                "--source", str(bad),
+                "--target", str(FIXTURES / "mini_stw.nt"),
+                "--crosswalk", str(FIXTURES / "listing1.xwalk"),
+                "--output", str(tmp_path / "mappings.nt"),
+                "--report-json",
+            ],
+            capsys,
+        )
+        assert (code, located(out)) == (1, expected)
+        merged = tmp_path / "merged.nt"
+        code, _, err = run(["merge", str(manifest_path), "--output", str(merged), "--report-json"], capsys)
+        assert (code, located(err)) == (1, expected)
+        assert LISTING1_LINE in merged.read_text(encoding="utf-8").splitlines()
+        _, _, diags = load_manifest(manifest_path)
+        assert [(d.code, *d.source_location) for d in diags] == expected
+        code, out, err = run(["query", str(manifest_path), "--predicate", "skos:exactMatch"], capsys)
+        assert code == 1
+        assert LISTING1_LINE in out.splitlines()
+        assert "NT_SYNTAX" in err
+
+    def test_serve_prints_load_diagnostics_before_listening(self, broken_thesoz):
+        _, manifest_path = broken_thesoz
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skoshub.cli", "serve", str(manifest_path), "--listen", "127.0.0.1:0"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            before = []
+            for line in proc.stderr:
+                if "listening on" in line:
+                    break
+                before.append(line)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stderr.close()
+        assert any(line.startswith("Error\tNT_SYNTAX\t") for line in before), before
+
+
+IRIS = [THESOZ_CONCEPT, STW_CONCEPT, SKOS + "exactMatch", SKOS + "prefLabel", "urn:x", "not an iri"]
+term_token = st.one_of(
+    st.sampled_from(IRIS).map("<{}>".format),
+    st.sampled_from(IRIS),
+    st.sampled_from(["skos:exactMatch", "rdf:type", "thesoz:concept/10039068", "stw:descriptor/11971-0", "nope:x"]),
+    st.builds(
+        '"{}"{}'.format,
+        st.sampled_from(["Informationswissenschaft", "Arbeit", 'a"b', ""]),
+        st.sampled_from(["", "@de", "@DE", "@", "@x y", "^^<http://www.w3.org/2001/XMLSchema#string>", "^^<>"]),
+    ),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+POSITION_FLAG = {"s": "--subject", "p": "--predicate", "o": "--object"}
+
+
+@given(st.fixed_dictionaries({}, optional={"s": term_token, "p": term_token, "o": term_token}))
+@example({"s": '"Arbeit"@de'})
+@example({"o": '"Informationswissenschaft"@DE'})
+@settings(max_examples=150, deadline=None)
+def test_query_cli_and_endpoint_parse_terms_alike(fixture_store, pattern):
+    store, config = fixture_store
+    resp = LinkedDataApp(store, config).handle(
+        "GET", "/query?" + "&".join("%s=%s" % (k, quote(v, safe="")) for k, v in pattern.items())
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["query", str(FIXTURES / "manifest.json")]
+                    + ["%s=%s" % (POSITION_FLAG[k], v) for k, v in pattern.items()])
+    if resp.status == 400:
+        assert code == 2
+    else:
+        assert (resp.status, code) == (200, 0)
+        assert out.getvalue() == resp.body.decode("utf-8")

@@ -11,6 +11,7 @@ from skoshub.crosswalk import (
     NonPreferredMode,
     NotFound,
     Preferred,
+    RELATION_PROPERTY,
     RelationCode,
     combination_node_iri,
     convert_combination,
@@ -18,7 +19,6 @@ from skoshub.crosswalk import (
     convert_entry,
     edges_to_graph,
     generate_inverses,
-    map_relation,
     parse_crosswalk,
     resolve_term,
 )
@@ -117,10 +117,12 @@ class TestResolveTerm:
 
 
 def test_map_relation_total():
-    assert map_relation(RelationCode.EQUIVALENT) == ns.SKOS_EXACT_MATCH
-    assert map_relation(RelationCode.NARROWER) == ns.SKOS_BROAD_MATCH
-    assert map_relation(RelationCode.BROADER) == ns.SKOS_NARROW_MATCH
-    assert map_relation(RelationCode.RELATED) == ns.SKOS_RELATED_MATCH
+    assert RELATION_PROPERTY == {
+        RelationCode.EQUIVALENT: ns.SKOS_EXACT_MATCH,
+        RelationCode.NARROWER: ns.SKOS_BROAD_MATCH,
+        RelationCode.BROADER: ns.SKOS_NARROW_MATCH,
+        RelationCode.RELATED: ns.SKOS_RELATED_MATCH,
+    }
 
 
 class TestConvertEntry:

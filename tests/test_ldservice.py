@@ -1,8 +1,16 @@
+import contextlib
+import http.client
 import random
+import statistics
+import threading
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skoshub import namespaces as ns
+from skoshub.graph import Graph
 from skoshub.ldservice import (
     HTML_TYPE,
     NTRIPLES_TYPE,
@@ -10,12 +18,13 @@ from skoshub.ldservice import (
     LinkedDataApp,
     describe,
     description_graph,
+    make_server,
     negotiate,
     parse_accept_language,
 )
-from skoshub.multistore import ServiceConfig
+from skoshub.multistore import MultiStore, ServiceConfig, ThesaurusRegistration
 from skoshub.ntriples import parse_ntriples
-from skoshub.terms import Iri
+from skoshub.terms import Iri, Literal, Triple
 
 from conftest import LISTING1_LINE, STW_CONCEPT, THESOZ_CONCEPT
 from turtle_reader import parse_turtle
@@ -282,3 +291,100 @@ class TestIndex:
         body = app.handle("GET", "/", {}).body.decode()
         assert "Mini-TheSoz" in body and "Mini-STW" in body
         assert "5 concepts" in body  # thesoz fixture
+
+
+# --- request-path boundary ---------------------------------------------------
+
+path_segment = st.text(
+    alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), whitelist_characters="-_.~%+()"),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(st.lists(path_segment, min_size=1, max_size=3))
+@example(["München"])
+@settings(max_examples=100, deadline=None)
+def test_service_urls_of_registered_iris_resolve(segments):
+    iri = Iri("http://x.example/c/" + "/".join(segments))
+    g = Graph([
+        Triple(iri, ns.RDF_TYPE, ns.SKOS_CONCEPT),
+        Triple(iri, ns.SKOS_PREF_LABEL, Literal("Ort", lang="de")),
+    ])
+    store = MultiStore()
+    store.register_thesaurus(ThesaurusRegistration("x", Iri("http://x.example/"), g))
+    app = LinkedDataApp(store)
+    assert app.handle("GET", app.page_url(iri)).status == 200
+    assert app.handle("GET", app.local_path(iri, "data")).status == 200
+    redirect = app.handle("GET", app.local_path(iri, "resource"))
+    assert redirect.status == 303
+    assert app.handle("GET", redirect.headers["Location"]).status == 200
+
+
+request_path = st.one_of(
+    st.text(),
+    st.builds(
+        str.__add__,
+        st.sampled_from(["/", "/thesoz/resource/", "/thesoz/page/", "/stw/data/", "/query?s=", "/stw/query?o="]),
+        st.text(),
+    ),
+)
+
+
+@given(request_path, st.dictionaries(st.sampled_from(["Accept", "Accept-Language"]), st.text(), max_size=2))
+@example("/thesoz/resource/<", {})
+@example('/thesoz/page/concept/a"b', {})
+@settings(max_examples=300, deadline=None)
+def test_handle_answers_every_path_with_a_status(fixture_store, path, headers):
+    store, config = fixture_store
+    resp = LinkedDataApp(store, config).handle("GET", path, headers)
+    assert isinstance(resp.status, int) and 200 <= resp.status < 600
+
+
+# --- HTTP wrapper --------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def running(app):
+    server = make_server(app, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+def test_keep_alive_responses_are_not_delayed(fixture_store):
+    store, config = fixture_store
+    with running(LinkedDataApp(store, config)) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        elapsed = []
+        for _ in range(5):
+            start = time.perf_counter()
+            conn.request("GET", PAGE_PATH)
+            resp = conn.getresponse()
+            resp.read()
+            elapsed.append(time.perf_counter() - start)
+            assert resp.status == 200
+        conn.close()
+    assert statistics.median(elapsed) < 0.020, elapsed
+
+
+class FailingApp(LinkedDataApp):
+    def handle(self, method, path, headers=None):
+        raise RuntimeError("handler failed")
+
+
+def test_handler_exception_becomes_logged_500(fixture_store, caplog):
+    store, config = fixture_store
+    with running(FailingApp(store, config)) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.request("GET", PAGE_PATH)
+        resp = conn.getresponse()
+        resp.read()
+        conn.close()
+    assert resp.status == 500
+    assert "handler failed" in caplog.text

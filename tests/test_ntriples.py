@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from conftest import LISTING1_LINE
 from skoshub.graph import Graph
-from skoshub.ntriples import format_triple, parse_ntriples, serialize_ntriples
+from skoshub.ntriples import format_triple, load_ntriples, parse_ntriples, serialize_ntriples
 from skoshub.terms import BlankNode, Iri, Literal, Triple
 
 
@@ -35,6 +35,19 @@ def test_bad_middle_line_is_recoverable():
     assert len(g) == 2
     assert len(errors) == 1
     assert errors[0].line == 2
+
+
+def test_invalid_utf8_line_reported_and_skipped(tmp_path):
+    path = tmp_path / "latin1.nt"
+    path.write_bytes(
+        b'<http://e.org/c:1> <http://e.org/p> "Arbeit"@de .\n'
+        b'<http://e.org/c:2> <http://e.org/p> "M\xfcnchen"@de .\n'  # Latin-1, not UTF-8
+        b'<http://e.org/c:3> <http://e.org/p> "M\xc3\xbcnchen"@de .\n'
+    )
+    g, diags = load_ntriples(path)
+    assert len(g) == 2
+    assert [(d.code, d.source_location) for d in diags] == [("NT_SYNTAX", (str(path), 2))]
+    assert all("\ufffd" not in t.object.lexical for t in g)
 
 
 def test_comments_and_blank_lines_ignored():
