@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import namespaces as ns
 from .graph import Graph
-from .skosmodel import Diagnostic, make_diagnostic
+from .skosmodel import Diagnostic, extract_schemes, make_diagnostic
 from .terms import Iri, Literal, Triple
 
 
@@ -130,9 +130,9 @@ class SchemeView:
 
 
 def build_scheme_view(graph: Graph, scheme: Optional[Iri] = None) -> SchemeView:
-    """View over `scheme`, or over the single scheme in the graph when omitted."""
-    from .skosmodel import extract_schemes
+    """View over `scheme`, or over the single scheme in the graph when omitted.
 
+    Scheme membership comes from the graph's SKOS index (see skosmodel)."""
     schemes, _ = extract_schemes(graph)
     if scheme is None:
         if len(schemes) != 1:

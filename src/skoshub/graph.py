@@ -2,6 +2,11 @@
 
 Construction is single-writer; freeze() seals the graph for shared
 read-only use. All lookups return triples in canonical order.
+
+SKOS views (concept to schemes, the typed concept set) read one derived
+index per graph, built by `skosmodel.skos_index` on first use and kept in
+`memo`. Every insert drops it, so an unsealed graph never serves a stale
+view; a sealed graph keeps it for good.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ class Graph:
         self._by_p: dict = defaultdict(set)
         self._by_o: dict = defaultdict(set)
         self._frozen = False
+        self.memo = None  # derived view owned by skosmodel.skos_index
         for t in triples:
             self.insert(t)
 
@@ -36,6 +42,7 @@ class Graph:
         self._by_s[t.subject].add(t)
         self._by_p[t.predicate].add(t)
         self._by_o[t.object].add(t)
+        self.memo = None
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
@@ -84,25 +91,9 @@ class Graph:
             candidates = byo if candidates is None else candidates & byo
         if candidates is None:
             candidates = self._triples
-        out = [
-            t
-            for t in candidates
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
-            and (o is None or t.object == o)
-        ]
-        out.sort(key=Triple.sort_key)
-        return out
-
-    def subjects(self) -> list:
-        return sorted(self._by_s.keys(), key=lambda t: t.sort_key())
-
-    def objects_of(self, s, p) -> list:
-        return [t.object for t in self.match(s=s, p=p)]
-
-    def first_object(self, s, p) -> Optional[Term]:
-        objs = self.objects_of(s, p)
-        return objs[0] if objs else None
+        # each index holds exactly the triples with that term in that
+        # position, so the candidates need no second filter
+        return sorted(candidates, key=Triple.sort_key)
 
     def copy(self) -> "Graph":
         return Graph(self._triples)

@@ -21,7 +21,7 @@ from . import namespaces as ns
 from .graph import Graph
 from .multistore import MultiStore, ServiceConfig
 from .ntriples import format_triple, serialize_ntriples
-from .skosmodel import extract_concept
+from .skosmodel import extract_concept, skos_index
 from .terms import Iri, Literal, TermError, Triple, parse_pattern
 from .turtle import serialize_turtle
 
@@ -116,6 +116,11 @@ class Description:
     inbound_mappings: list
     neighbor_labels: dict  # Iri -> Literal
 
+    @property
+    def empty(self) -> bool:
+        """Nothing is known about the focus: the service answers 404."""
+        return not self.outbound and not self.inbound_mappings
+
 
 def describe(store: MultiStore, iri: Iri, lang_pref=()) -> Description:
     """Everything the combined page and the data views need about one IRI."""
@@ -155,6 +160,9 @@ class LinkedDataApp:
     def __init__(self, store: MultiStore, config: Optional[ServiceConfig] = None):
         self.store = store
         self.config = config or ServiceConfig()
+        for reg in store.registrations:
+            # built once before serving: never inside a request, never raced by handler threads
+            skos_index(reg.graph)
 
     # --- URL mapping -------------------------------------------------------
 
@@ -175,9 +183,13 @@ class LinkedDataApp:
         if method not in ("GET", "HEAD"):
             return Response(405, {"Content-Type": "text/plain; charset=utf-8", "Allow": "GET, HEAD"}, b"method not allowed\n")
         split = urlsplit(path)
-        query = {k: v[0] for k, v in parse_qs(split.query).items()}
-        segments = [s for s in split.path.split("/") if s]
-        resp = self._route(segments, query, headers)
+        try:
+            query = {k: v[0] for k, v in parse_qs(split.query, errors="strict").items()}
+        except UnicodeDecodeError:
+            resp = Response(400, {"Content-Type": "text/plain; charset=utf-8"}, b"query is not percent-encoded UTF-8\n")
+        else:
+            segments = [s for s in split.path.split("/") if s]
+            resp = self._route(segments, query, headers)
         if method == "HEAD":
             resp = Response(resp.status, dict(resp.headers), b"")
         return resp
@@ -197,8 +209,8 @@ class LinkedDataApp:
         kind = segments[1]
         rest = "/".join(segments[2:])
         try:
-            iri = Iri(reg.base_iri.value + unquote(rest))
-        except TermError:
+            iri = Iri(reg.base_iri.value + unquote(rest, errors="strict"))
+        except (TermError, UnicodeDecodeError):
             return self._not_found()
         if kind == "resource":
             return self._resource(reg, rest, iri, headers)
@@ -209,13 +221,11 @@ class LinkedDataApp:
     def _not_found(self) -> Response:
         return Response(404, {"Content-Type": "text/plain; charset=utf-8"}, b"not found\n")
 
-    def _exists(self, iri: Iri) -> bool:
-        return bool(self.store.subject_triples(iri)) or bool(self.store.mappings_for(iri))
-
     # --- handlers ----------------------------------------------------------
 
     def _resource(self, reg, rest, iri, headers) -> Response:
-        if not self._exists(iri):
+        # existence only: a 303 needs no neighbour labels
+        if not self.store.subject_triples(iri) and not self.store.mappings_for(iri):
             return self._not_found()
         chosen = negotiate(headers.get("accept"), SERVER_PREFERENCE)
         if chosen is None:
@@ -234,9 +244,9 @@ class LinkedDataApp:
         return pref
 
     def _data(self, reg, iri, headers) -> Response:
-        if not self._exists(iri):
-            return self._not_found()
         d = describe(self.store, iri)
+        if d.empty:
+            return self._not_found()
         g = description_graph(d)
         chosen = negotiate(headers.get("accept"), [TURTLE_TYPE, NTRIPLES_TYPE, RDFXML_TYPE])
         if chosen is None:
@@ -251,10 +261,10 @@ class LinkedDataApp:
         return Response(200, {"Content-Type": ctype + "; charset=utf-8", "Vary": "Accept"}, body)
 
     def _page(self, reg, iri, query, headers) -> Response:
-        if not self._exists(iri):
-            return self._not_found()
         lang_pref = self._lang_pref(query, headers)
         d = describe(self.store, iri, lang_pref)
+        if d.empty:
+            return self._not_found()
         body = self._render_page(reg, iri, d, lang_pref)
         return Response(
             200,
@@ -328,7 +338,7 @@ class LinkedDataApp:
         items = []
         for reg in self.store.registrations:
             schemes_count = len(reg.graph.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT_SCHEME))
-            concept_count = len(reg.graph.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT))
+            concept_count = len(skos_index(reg.graph).concepts)
             items.append(
                 "<li><strong>%s</strong> (%s): %d concepts, %d schemes, %d triples</li>"
                 % (html.escape(reg.title or reg.id), html.escape(reg.id), concept_count, schemes_count, len(reg.graph))
@@ -420,7 +430,7 @@ def serve(app: LinkedDataApp, listen: str):
             "registered %s (%s): %d concepts",
             reg.id,
             reg.title,
-            len(reg.graph.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT)),
+            len(skos_index(reg.graph).concepts),
         )
     log.info("listening on %s", listen)
     try:

@@ -16,8 +16,8 @@ from typing import Optional
 from . import namespaces as ns
 from .graph import Graph
 from .ntriples import load_ntriples
-from .skosmodel import Concept, Diagnostic, extract_concept, make_diagnostic
-from .terms import Iri, Literal, PrefixMap
+from .skosmodel import Diagnostic, best_label, make_diagnostic
+from .terms import Iri, Literal, PrefixMap, TermError
 
 
 class StoreError(ValueError):
@@ -84,7 +84,7 @@ class MultiStore:
                 diags.append(
                     make_diagnostic(
                         "MAPPING_GRAPH_FOREIGN_TRIPLE",
-                        subject=t.subject if isinstance(t.subject, Iri) else None,
+                        subject=t.subject,
                         message="predicate %s does not belong in a mapping graph" % t.predicate,
                     )
                 )
@@ -115,22 +115,16 @@ class MultiStore:
                     best = reg
         return best
 
-    def lookup(self, iri: Iri):
-        """(registration id, Concept view or None), or None when no base matches."""
-        reg = self.owner_of(iri)
-        if reg is None:
-            return None
-        return reg.id, extract_concept(reg.graph, iri)
-
     def label_of(self, iri: Iri, lang_pref=()) -> Optional[Literal]:
         """Best-language prefLabel resolved across all registrations."""
         reg = self.owner_of(iri)
         if reg is None:
             return None
-        concept = extract_concept(reg.graph, iri)
-        if concept is None:
-            return None
-        return concept.pref_label(lang_pref)
+        by_lang: dict = {}
+        for t in reg.graph.match(s=iri, p=ns.SKOS_PREF_LABEL):
+            if isinstance(t.object, Literal):
+                by_lang.setdefault(t.object.lang or "", t.object)
+        return best_label(by_lang, lang_pref)
 
     def _combination_members(self, node: Iri) -> tuple:
         member_prop = ns.ext_member(self.ext_namespace)
@@ -223,14 +217,29 @@ class ServiceConfig:
     default_lang: str = "en"
 
 
-def _load_entry(base_dir: Path, entry: dict, kind: str):
-    """Graph and parse diagnostics of the file a manifest entry names."""
+def _field(obj, key: str, kind: str, default=None, cls=str):
+    """obj[key] of a manifest object, or default; StoreError when obj is no
+    object or the value is missing or no instance of cls."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if not isinstance(value, cls):
+        raise StoreError("%s needs a %s %r" % (kind, cls.__name__, key))
+    return value
+
+
+def _iri(value: str) -> Iri:
     try:
-        return load_ntriples(base_dir / entry["file"])
-    except KeyError as e:
-        raise StoreError("%s entry missing key %s" % (kind, e))
-    except OSError as e:
-        raise StoreError("cannot read %s: %s" % (entry.get("file"), e))
+        return Iri(value)
+    except TermError as e:
+        raise StoreError("manifest: %s" % e)
+
+
+def _load_entry(base_dir: Path, entry, kind: str):
+    """Graph and parse diagnostics of the file a manifest entry names."""
+    file = _field(entry, "file", kind)
+    try:
+        return load_ntriples(base_dir / file)
+    except (OSError, ValueError) as e:
+        raise StoreError("cannot read %s: %s" % (file, e))
 
 
 def load_manifest(path):
@@ -247,40 +256,46 @@ def load_manifest(path):
         "service": {"listen": "127.0.0.1:8000", "base_url": "",
                     "result_limit": 10000, "default_lang": "de"}
       }
-    File paths are resolved relative to the manifest.
+    File paths are resolved relative to the manifest. Any entry that breaks
+    this schema (a missing key, a value of the wrong type, an invalid IRI)
+    raises StoreError.
     """
     path = Path(path)
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise StoreError("cannot read manifest %s: %s" % (path, e))
+    if not isinstance(manifest, dict):
+        raise StoreError("manifest %s is not a JSON object" % path)
     base_dir = path.parent
-    store = MultiStore(ext_namespace=manifest.get("ext_namespace", ns.DEFAULT_EXT_NS))
+    ext_namespace = _iri(_field(manifest, "ext_namespace", "manifest", ns.DEFAULT_EXT_NS)).value
+    store = MultiStore(ext_namespace=ext_namespace)
     diags: list[Diagnostic] = []
-    for entry in manifest.get("thesauri", []):
+    for entry in _field(manifest, "thesauri", "manifest", [], list):
+        id = _field(entry, "id", "thesaurus")
+        base_iri = _iri(_field(entry, "base_iri", "thesaurus"))
+        prefixes = _field(entry, "prefixes", "thesaurus %r" % id, {}, dict)
+        pm = PrefixMap()
+        for prefix in prefixes:
+            pm.bind(prefix, _iri(_field(prefixes, prefix, "thesaurus %r prefixes" % id)))
         graph, file_diags = _load_entry(base_dir, entry, "thesaurus")
         diags.extend(file_diags)
-        pm = PrefixMap()
-        for prefix, namespace in entry.get("prefixes", {}).items():
-            pm.bind(prefix, Iri(namespace))
-        store.register_thesaurus(
-            ThesaurusRegistration(
-                id=entry["id"],
-                base_iri=Iri(entry["base_iri"]),
-                graph=graph,
-                prefix_map=pm,
-                title=entry.get("title", entry["id"]),
-            )
-        )
-    for entry in manifest.get("mappings", []):
+        title = _field(entry, "title", "thesaurus", id)
+        store.register_thesaurus(ThesaurusRegistration(id, base_iri, graph, pm, title))
+    for entry in _field(manifest, "mappings", "manifest", [], list):
+        id = _field(entry, "id", "mapping")
         graph, file_diags = _load_entry(base_dir, entry, "mapping")
         diags.extend(file_diags)
-        diags.extend(store.load_mappings(entry["id"], graph))
-    svc = manifest.get("service", {})
+        diags.extend(store.load_mappings(id, graph))
+    svc = _field(manifest, "service", "manifest", {}, dict)
+    try:
+        result_limit = int(svc.get("result_limit", 10000))
+    except (TypeError, ValueError, OverflowError):
+        raise StoreError("manifest 'service' needs an integer 'result_limit'")
     config = ServiceConfig(
-        listen=svc.get("listen", "127.0.0.1:8000"),
-        base_url=svc.get("base_url", ""),
-        result_limit=int(svc.get("result_limit", 10000)),
-        default_lang=svc.get("default_lang", "en"),
+        listen=_field(svc, "listen", "service", "127.0.0.1:8000"),
+        base_url=_field(svc, "base_url", "service", ""),
+        result_limit=result_limit,
+        default_lang=_field(svc, "default_lang", "service", "en"),
     )
     return store, config, diags

@@ -68,8 +68,9 @@ DIAGNOSTIC_REGISTRY = {
 
 
 def make_diagnostic(code: str, subject=None, message: str = "", source_location=None) -> Diagnostic:
+    """A registered diagnostic; a subject that is no IRI (a blank node, a literal) is dropped."""
     severity, _ = DIAGNOSTIC_REGISTRY[code]
-    return Diagnostic(severity, code, subject, message, source_location)
+    return Diagnostic(severity, code, subject if isinstance(subject, Iri) else None, message, source_location)
 
 
 def diagnostics_tsv(diags) -> str:
@@ -112,26 +113,54 @@ class Concept:
     related: set = field(default_factory=set)
 
     def pref_label(self, lang_pref=()) -> Optional[Literal]:
-        """Best-language preferred label: first preference hit, else any."""
-        for lang in lang_pref:
-            lit = self.prefLabels.get(lang.lower())
-            if lit is not None:
-                return lit
-        for lang in sorted(self.prefLabels):
-            return self.prefLabels[lang]
-        return None
+        return best_label(self.prefLabels, lang_pref)
 
 
-def _scheme_members(g: Graph) -> dict:
-    """concept Iri -> set of scheme Iris, from inScheme/topConceptOf/hasTopConcept."""
-    members: dict = {}
-    for t in g.match(p=ns.SKOS_IN_SCHEME) + g.match(p=ns.SKOS_TOP_CONCEPT_OF):
-        if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            members.setdefault(t.subject, set()).add(t.object)
-    for t in g.match(p=ns.SKOS_HAS_TOP_CONCEPT):
-        if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
-            members.setdefault(t.object, set()).add(t.subject)
-    return members
+def best_label(by_lang: dict, lang_pref=()) -> Optional[Literal]:
+    """Best-language label of a lang -> Literal map: first preference hit, else any."""
+    for lang in lang_pref:
+        lit = by_lang.get(lang.lower())
+        if lit is not None:
+            return lit
+    for lang in sorted(by_lang):
+        return by_lang[lang]
+    return None
+
+
+class SkosIndex:
+    """The SKOS lookups of one graph, built in one pass over its membership triples.
+
+    schemes: concept Iri -> tuple of scheme Iris sorted by value, from
+    inScheme, topConceptOf and the inverted hasTopConcept. concepts: the
+    IRIs typed skos:Concept.
+    """
+
+    __slots__ = ("schemes", "concepts")
+
+    def __init__(self, g: Graph):
+        members: dict = {}
+        for prop in (ns.SKOS_IN_SCHEME, ns.SKOS_TOP_CONCEPT_OF, ns.SKOS_HAS_TOP_CONCEPT):
+            for t in g.match(p=prop):
+                if isinstance(t.subject, Iri) and isinstance(t.object, Iri):
+                    if prop == ns.SKOS_HAS_TOP_CONCEPT:
+                        members.setdefault(t.object, set()).add(t.subject)
+                    else:
+                        members.setdefault(t.subject, set()).add(t.object)
+        self.schemes = {c: tuple(sorted(s, key=lambda i: i.value)) for c, s in members.items()}
+        self.concepts = frozenset(
+            t.subject for t in g.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT) if isinstance(t.subject, Iri)
+        )
+
+    def is_concept(self, iri) -> bool:
+        return iri in self.concepts or iri in self.schemes
+
+
+def skos_index(g: Graph) -> SkosIndex:
+    """The graph's SkosIndex, built on first use and memoised until the next insert."""
+    index = g.memo
+    if index is None:
+        index = g.memo = SkosIndex(g)
+    return index
 
 
 def extract_schemes(g: Graph):
@@ -140,28 +169,22 @@ def extract_schemes(g: Graph):
     Returns (schemes, diagnostics); typed concepts missing any scheme
     membership are reported as ORPHAN_CONCEPT, not dropped silently.
     """
-    diags: list[Diagnostic] = []
     schemes: dict[Iri, ConceptScheme] = {}
     for t in g.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT_SCHEME):
         if isinstance(t.subject, Iri):
-            title = g.first_object(t.subject, ns.DCT_TITLE)
-            if not isinstance(title, Literal):
-                title = None
-            schemes[t.subject] = ConceptScheme(t.subject, title=title)
-    members = _scheme_members(g)
-    for concept, s_iris in members.items():
+            titles = g.match(s=t.subject, p=ns.DCT_TITLE)
+            title = titles[0].object if titles else None
+            schemes[t.subject] = ConceptScheme(t.subject, title=title if isinstance(title, Literal) else None)
+    index = skos_index(g)
+    for concept, s_iris in index.schemes.items():
         for s_iri in s_iris:
             if s_iri in schemes:
                 schemes[s_iri].concepts.add(concept)
-    for t in g.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT):
-        if isinstance(t.subject, Iri) and t.subject not in members:
-            diags.append(
-                make_diagnostic(
-                    "ORPHAN_CONCEPT",
-                    subject=t.subject,
-                    message="concept has no scheme membership",
-                )
-            )
+    diags = [
+        make_diagnostic("ORPHAN_CONCEPT", subject=c, message="concept has no scheme membership")
+        for c in sorted(index.concepts, key=lambda i: i.value)
+        if c not in index.schemes
+    ]
     return sorted(schemes.values(), key=lambda s: s.iri.value), diags
 
 
@@ -191,7 +214,7 @@ def resolve_xl_labels(g: Graph):
                 diags.append(
                     make_diagnostic(
                         "XL_NO_LITERAL_FORM",
-                        subject=t.object if isinstance(t.object, Iri) else None,
+                        subject=t.object,
                         message="label resource of %s has no literalForm" % t.subject,
                     )
                 )
@@ -213,7 +236,7 @@ def extract_concept(g: Graph, iri: Iri) -> Optional[Concept]:
     if not relevant:
         return None
     c = Concept(iri)
-    schemes = sorted(_scheme_members(g).get(iri, ()), key=lambda i: i.value)
+    schemes = skos_index(g).schemes.get(iri)
     if schemes:
         c.scheme = schemes[0]
     for t in triples:
@@ -236,14 +259,6 @@ def extract_concept(g: Graph, iri: Iri) -> Optional[Concept]:
     for lang in c.hiddenLabels:
         c.hiddenLabels[lang].sort(key=lambda l: l.lexical)
     return c
-
-
-def _is_concept(g: Graph, iri) -> bool:
-    if not isinstance(iri, Iri):
-        return False
-    if g.match(s=iri, p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT):
-        return True
-    return iri in _scheme_members(g)
 
 
 def validate_skos(g: Graph, external_graphs=()) -> list:
@@ -295,16 +310,17 @@ def validate_skos(g: Graph, external_graphs=()) -> list:
     _, orphan_diags = extract_schemes(g)
     diags.extend(orphan_diags)
 
-    members = _scheme_members(g)
+    index = skos_index(g)
+    external = [(eg, skos_index(eg)) for eg in external_graphs]
     for prop in sorted(ns.MAPPING_PROPERTIES, key=lambda i: i.value):
         for t in g.match(p=prop):
-            s_ok = _is_concept(g, t.subject)
+            s_ok = index.is_concept(t.subject)
             local = prop.value[len(ns.SKOS_NS):]
             if not s_ok:
                 diags.append(
                     make_diagnostic(
                         "MAPPING_NON_CONCEPT",
-                        subject=t.subject if isinstance(t.subject, Iri) else None,
+                        subject=t.subject,
                         message="subject of %s is not a concept" % local,
                     )
                 )
@@ -313,23 +329,22 @@ def validate_skos(g: Graph, external_graphs=()) -> list:
                 diags.append(
                     make_diagnostic(
                         "MAPPING_NON_CONCEPT",
-                        subject=t.subject if isinstance(t.subject, Iri) else None,
+                        subject=t.subject,
                         message="object of %s is not a resource" % local,
                     )
                 )
                 continue
-            known_here = bool(g.match(s=o)) or o in members
-            known_ext = any(eg.match(s=o) or _is_concept(eg, o) for eg in external_graphs)
+            known_here = bool(g.match(s=o)) or o in index.schemes
             if known_here:
-                if not _is_concept(g, o):
+                if not index.is_concept(o):
                     diags.append(
                         make_diagnostic(
                             "MAPPING_NON_CONCEPT",
-                            subject=t.subject if isinstance(t.subject, Iri) else None,
+                            subject=t.subject,
                             message="object %s of %s is not a concept" % (o, local),
                         )
                     )
-                elif s_ok and members.get(t.subject, set()) & members.get(o, set()):
+                elif s_ok and not set(index.schemes.get(t.subject, ())).isdisjoint(index.schemes.get(o, ())):
                     diags.append(
                         make_diagnostic(
                             "MAPPING_SAME_SCHEME",
@@ -337,13 +352,11 @@ def validate_skos(g: Graph, external_graphs=()) -> list:
                             message="%s links two concepts of one scheme" % local,
                         )
                     )
-            elif known_ext:
-                pass
-            else:
+            elif not any(eg.match(s=o) or eindex.is_concept(o) for eg, eindex in external):
                 diags.append(
                     make_diagnostic(
                         "DANGLING_MAPPING_TARGET",
-                        subject=t.subject if isinstance(t.subject, Iri) else None,
+                        subject=t.subject,
                         message="mapping object %s is not present in any registered graph" % o,
                     )
                 )

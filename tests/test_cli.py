@@ -163,6 +163,22 @@ class TestMerge:
         code, _, err = run(["merge", "/no/such.json", "--output", str(tmp_path / "o.nt")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"id": "a"},
+            {"id": "a", "base_iri": "not an iri"},
+            {"id": "a", "base_iri": "http://lod.gesis.org/thesoz/", "prefixes": {"t": "not an iri"}},
+        ],
+    )
+    def test_bad_manifest_entry_exit_2(self, tmp_path, capsys, entry):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"thesauri": [dict(entry, file=str(FIXTURES / "mini_thesoz.nt"))]}))
+        for argv in (["merge", str(manifest), "--output", str(tmp_path / "o.nt")], ["query", str(manifest)]):
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestQuery:
     def test_exact_match_pattern(self, capsys):

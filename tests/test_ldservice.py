@@ -4,6 +4,7 @@ import random
 import statistics
 import threading
 import time
+from urllib.parse import quote_from_bytes
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +23,12 @@ from skoshub.ldservice import (
     negotiate,
     parse_accept_language,
 )
-from skoshub.multistore import MultiStore, ServiceConfig, ThesaurusRegistration
+from skoshub.multistore import MultiStore, ServiceConfig, ThesaurusRegistration, load_manifest
 from skoshub.ntriples import parse_ntriples
-from skoshub.terms import Iri, Literal, Triple
+from skoshub.skosmodel import skos_index
+from skoshub.terms import BlankNode, Iri, Literal, Triple
 
-from conftest import LISTING1_LINE, STW_CONCEPT, THESOZ_CONCEPT
+from conftest import FIXTURES, LISTING1_LINE, STW_CONCEPT, THESOZ_CONCEPT
 from turtle_reader import parse_turtle
 
 RESOURCE_PATH = "/thesoz/resource/concept/10039068"
@@ -292,6 +294,21 @@ class TestIndex:
         assert "Mini-TheSoz" in body and "Mini-STW" in body
         assert "5 concepts" in body  # thesoz fixture
 
+    def test_index_counts_iri_concepts_only(self):
+        # a blank node has no page or data URL, so it is not counted
+        g = Graph([Triple(Iri("http://x.example/c/%d" % i), ns.RDF_TYPE, ns.SKOS_CONCEPT) for i in (1, 2)])
+        g.insert(Triple(BlankNode("b1"), ns.RDF_TYPE, ns.SKOS_CONCEPT))
+        store = MultiStore()
+        store.register_thesaurus(ThesaurusRegistration("x", Iri("http://x.example/"), g))
+        body = LinkedDataApp(store).handle("GET", "/", {}).body.decode()
+        assert "2 concepts" in body
+
+    def test_app_builds_each_skos_index_before_serving(self):
+        store, _, _ = load_manifest(FIXTURES / "manifest.json")
+        assert all(reg.graph.memo is None for reg in store.registrations)
+        LinkedDataApp(store)
+        assert all(reg.graph.memo is skos_index(reg.graph) for reg in store.registrations)
+
 
 # --- request-path boundary ---------------------------------------------------
 
@@ -321,13 +338,11 @@ def test_service_urls_of_registered_iris_resolve(segments):
     assert app.handle("GET", redirect.headers["Location"]).status == 200
 
 
+PATH_PREFIXES = ["/", "/thesoz/resource/", "/thesoz/page/", "/stw/data/", "/query?s=", "/stw/query?o="]
 request_path = st.one_of(
     st.text(),
-    st.builds(
-        str.__add__,
-        st.sampled_from(["/", "/thesoz/resource/", "/thesoz/page/", "/stw/data/", "/query?s=", "/stw/query?o="]),
-        st.text(),
-    ),
+    st.builds(str.__add__, st.sampled_from(PATH_PREFIXES), st.text()),
+    st.builds(lambda prefix, raw: prefix + quote_from_bytes(raw), st.sampled_from(PATH_PREFIXES), st.binary()),
 )
 
 
@@ -339,6 +354,52 @@ def test_handle_answers_every_path_with_a_status(fixture_store, path, headers):
     store, config = fixture_store
     resp = LinkedDataApp(store, config).handle("GET", path, headers)
     assert isinstance(resp.status, int) and 200 <= resp.status < 600
+
+
+def test_query_that_is_not_utf8_answers_400(app):
+    for path in ("/query?o=%22Informationswissenschaft%FC%22%40de", "/thesoz/query?s=%FF"):
+        assert app.handle("GET", path).status == 400
+        assert app.handle("HEAD", path).status == 400
+
+
+def test_path_that_is_not_utf8_answers_404():
+    # a registered IRI holding U+FFFD must not answer for a path whose bytes
+    # only decode to it by replacement
+    iri = Iri("http://x.example/c/a\ufffdb")
+    store = MultiStore()
+    store.register_thesaurus(
+        ThesaurusRegistration("x", Iri("http://x.example/"), Graph([Triple(iri, ns.RDF_TYPE, ns.SKOS_CONCEPT)]))
+    )
+    app = LinkedDataApp(store)
+    assert app.handle("GET", app.page_url(iri)).status == 200
+    for kind in ("resource", "page", "data"):
+        assert app.handle("GET", "/x/%s/c/a%%FFb" % kind).status == 404
+
+
+# (before, after) the drawn bytes; the query ones put them inside a literal,
+# which any decoded text makes valid
+AROUND_BYTES = [
+    ("/thesoz/resource/concept/", ""),
+    ("/thesoz/page/", ""),
+    ("/stw/data/descriptor/", ""),
+    ("/query?o=%22", "%22%40de"),
+    ("/stw/query?o=%22", "%22"),
+]
+
+
+@given(st.sampled_from(AROUND_BYTES), st.binary(min_size=1))
+@example(("/query?o=%22", "%22%40de"), b"Informationswissenschaft\xfc")
+@settings(max_examples=200, deadline=None)
+def test_percent_encoded_bytes_decode_strictly(fixture_store, around, raw):
+    store, config = fixture_store
+    prefix, suffix = around
+    resp = LinkedDataApp(store, config).handle("GET", prefix + quote_from_bytes(raw) + suffix)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        assert resp.status == (400 if "?" in prefix else 404)
+    else:
+        assert 200 <= resp.status < 600
 
 
 # --- HTTP wrapper --------------------------------------------------------------

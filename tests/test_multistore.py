@@ -1,7 +1,11 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skoshub import namespaces as ns
 from skoshub.graph import Graph
@@ -12,7 +16,8 @@ from skoshub.multistore import (
     load_manifest,
 )
 from skoshub.ntriples import parse_ntriples, serialize_ntriples
-from skoshub.terms import Iri, Triple
+from skoshub.skosmodel import extract_concept
+from skoshub.terms import Iri, Literal, Triple
 
 from conftest import FIXTURES, STW_CONCEPT, THESOZ_CONCEPT, load_fixture_graph
 
@@ -92,20 +97,26 @@ class TestLoadMappings:
         assert "MAPPING_GRAPH_FOREIGN_TRIPLE" in [d.code for d in diags]
 
 
+def lookup(store, iri):
+    """(registration id, Concept view or None), or None when no base matches."""
+    reg = store.owner_of(iri)
+    return None if reg is None else (reg.id, extract_concept(reg.graph, iri))
+
+
 class TestLookup:
     def test_concept_lookup(self):
         store = make_store()
-        reg_id, concept = store.lookup(Iri(THESOZ_CONCEPT))
+        reg_id, concept = lookup(store, Iri(THESOZ_CONCEPT))
         assert reg_id == "thesoz"
         assert concept.prefLabels["de"].lexical == "Informationswissenschaft"
 
     def test_unregistered_base_absent(self):
         store = make_store()
-        assert store.lookup(Iri("http://elsewhere.example/c:1")) is None
+        assert lookup(store, Iri("http://elsewhere.example/c:1")) is None
 
     def test_registered_base_non_concept_distinguishable(self):
         store = make_store()
-        result = store.lookup(Iri("http://zbw.eu/stw/nothing-here"))
+        result = lookup(store, Iri("http://zbw.eu/stw/nothing-here"))
         assert result == ("stw", None)
 
     def test_longest_prefix_wins(self):
@@ -128,8 +139,23 @@ class TestLookup:
                 iri = Iri(rng.choice(bases) + "c/%d" % rng.randrange(1000))
             else:
                 iri = Iri("http://unrelated%d.example/c" % rng.randrange(50))
-            hit = store.lookup(iri)
+            hit = lookup(store, iri)
             assert (hit is not None) == any(iri.value.startswith(b) for b in bases)
+
+
+class TestLabelOf:
+    @given(
+        st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([None, "de", "en", "fr"])), max_size=6),
+        st.lists(st.sampled_from(["de", "EN", "fr", "it"]), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_label_of_picks_like_pref_label_among_duplicates(self, labels, pref):
+        c = Iri("http://x.example/c")
+        g = Graph([Triple(c, ns.SKOS_PREF_LABEL, Literal(lex, lang=lang)) for lex, lang in labels])
+        store = MultiStore()
+        store.register_thesaurus(ThesaurusRegistration("x", Iri("http://x.example/"), g))
+        concept = extract_concept(g, c)
+        assert store.label_of(c, pref) == (concept.pref_label(pref) if concept else None)
 
 
 class TestMappingsFor:
@@ -259,3 +285,64 @@ class TestManifest:
         )
         with pytest.raises(StoreError):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"thesauri": [{"id": "a", "file": "mini_thesoz.nt"}]},
+            {"thesauri": [{"base_iri": "http://lod.gesis.org/thesoz/", "file": "mini_thesoz.nt"}]},
+            {"thesauri": [{"id": "a", "base_iri": "not an iri", "file": "mini_thesoz.nt"}]},
+            {"thesauri": [{"id": "a", "base_iri": "http://lod.gesis.org/thesoz/", "file": "mini_thesoz.nt",
+                           "prefixes": {"t": "not an iri"}}]},
+            {"mappings": [{"file": "mappings.nt"}]},
+        ],
+    )
+    def test_bad_entry_raises_store_error(self, tmp_path, manifest):
+        for entry in manifest.get("thesauri", []) + manifest.get("mappings", []):
+            entry["file"] = str(FIXTURES / entry["file"])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError):
+            load_manifest(path)
+
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+field_value = st.sampled_from(
+    [
+        "thesoz", "stw", "", "not an iri", "http://lod.gesis.org/thesoz/", "http://zbw.eu/stw/",
+        str(FIXTURES / "mini_thesoz.nt"), str(FIXTURES / "mappings.nt"), "absent.nt", str(FIXTURES),
+        {"t": "http://x.example/"}, {"t": "not an iri"}, {"t": 3},
+    ]
+) | json_value
+
+
+def entry_of(keys):
+    return st.dictionaries(st.sampled_from(keys), field_value, max_size=len(keys)) | json_value
+
+
+manifest_json = st.fixed_dictionaries(
+    {},
+    optional={
+        "thesauri": st.lists(entry_of(["id", "base_iri", "file", "title", "prefixes"]), max_size=3) | json_value,
+        "mappings": st.lists(entry_of(["id", "file"]), max_size=2) | json_value,
+        "ext_namespace": field_value,
+        "service": entry_of(["listen", "base_url", "result_limit", "default_lang"]),
+    },
+) | json_value
+
+
+@given(manifest_json)
+@example({"thesauri": [{"id": "a", "file": str(FIXTURES / "mini_thesoz.nt")}]})
+@settings(max_examples=300, deadline=None)
+def test_load_manifest_loads_or_raises_store_error(manifest):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.json"
+        path.write_text(json.dumps(manifest))
+        try:
+            load_manifest(path)
+        except StoreError:
+            pass

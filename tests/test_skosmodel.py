@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from skoshub import namespaces as ns
 from skoshub.graph import Graph
 from skoshub.skosmodel import (
@@ -9,9 +12,10 @@ from skoshub.skosmodel import (
     extract_schemes,
     make_diagnostic,
     resolve_xl_labels,
+    skos_index,
     validate_skos,
 )
-from skoshub.terms import Iri, Literal, Triple
+from skoshub.terms import BlankNode, Iri, Literal, Triple
 
 from conftest import THESOZ_CONCEPT
 
@@ -148,7 +152,7 @@ class TestExtractConcept:
 
     def test_label_sets_match_graph_brute_force(self, thesoz_graph, stw_graph):
         for g in (thesoz_graph, stw_graph):
-            for s in g.subjects():
+            for s in {t.subject for t in g}:
                 if not isinstance(s, Iri):
                     continue
                 c = extract_concept(g, s)
@@ -256,3 +260,65 @@ def test_report_formats():
         "message": "fine",
         "source": ["f.xwalk", 3],
     }
+
+
+# --- the per-graph SKOS index ---------------------------------------------------
+
+NODES = [Iri("http://e.org/n%d" % i) for i in range(4)]
+MEMBERSHIP = (ns.SKOS_IN_SCHEME, ns.SKOS_TOP_CONCEPT_OF, ns.SKOS_HAS_TOP_CONCEPT)
+index_triple = st.builds(
+    Triple,
+    st.sampled_from(NODES + [BlankNode("b0")]),
+    st.sampled_from(MEMBERSHIP + (ns.RDF_TYPE, ns.SKOS_PREF_LABEL)),
+    st.sampled_from(
+        NODES + [BlankNode("b0"), Literal("x"), Literal("y", lang="de"), ns.SKOS_CONCEPT, ns.SKOS_CONCEPT_SCHEME]
+    ),
+)
+
+
+def brute_schemes(triples) -> dict:
+    """concept -> scheme set, scanned from scratch."""
+    out: dict = {}
+    for t in triples:
+        if not (isinstance(t.subject, Iri) and isinstance(t.object, Iri)):
+            continue
+        if t.predicate in (ns.SKOS_IN_SCHEME, ns.SKOS_TOP_CONCEPT_OF):
+            out.setdefault(t.subject, set()).add(t.object)
+        elif t.predicate == ns.SKOS_HAS_TOP_CONCEPT:
+            out.setdefault(t.object, set()).add(t.subject)
+    return out
+
+
+def assert_index_matches_brute_force(g, triples):
+    index, schemes = skos_index(g), brute_schemes(triples)
+    for term in NODES + [BlankNode("b0"), Literal("x"), ns.SKOS_CONCEPT]:
+        expected = schemes.get(term, set())
+        got = index.schemes.get(term, ())
+        assert set(got) == expected and list(got) == sorted(got, key=lambda i: i.value)
+        typed = isinstance(term, Iri) and Triple(term, ns.RDF_TYPE, ns.SKOS_CONCEPT) in triples
+        assert index.is_concept(term) == (typed or term in schemes)
+        concept = extract_concept(g, term) if isinstance(term, Iri) else None
+        if concept is not None:
+            assert concept.scheme == (min(expected, key=lambda i: i.value) if expected else None)
+
+
+@given(st.lists(index_triple, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_skos_index_equals_brute_force_scan(triples):
+    assert_index_matches_brute_force(Graph(triples), set(triples))
+
+
+@given(st.lists(index_triple, min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_insert_after_read_gives_fresh_index(triples):
+    g, seen = Graph(), set()
+    for t in triples:
+        skos_index(g)  # read, so the next insert must drop what was built
+        g.insert(t)
+        seen.add(t)
+        assert_index_matches_brute_force(g, seen)
+
+
+def test_sealed_graph_keeps_one_index(thesoz_graph):
+    g = thesoz_graph.copy().freeze()
+    assert skos_index(g) is skos_index(g)
