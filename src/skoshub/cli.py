@@ -23,7 +23,7 @@ from .crosswalk import (
     edges_to_graph,
 )
 
-from .ldservice import LinkedDataApp, serve
+from .ldservice import LinkedDataApp, parse_listen, serve
 from .multistore import StoreError, load_manifest
 from .ntriples import format_triple, load_ntriples, serialize_ntriples
 from .skosmodel import (
@@ -109,8 +109,7 @@ def cmd_convert(args) -> int:
 def cmd_merge(args) -> int:
     try:
         store, _, diags = load_manifest(args.manifest)
-        merged = store.export_merged()
-        Path(args.output).write_bytes(serialize_ntriples(merged))
+        Path(args.output).write_bytes(serialize_ntriples(store.match()))
     except (StoreError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
@@ -118,17 +117,18 @@ def cmd_merge(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     try:
         store, config, diags = load_manifest(args.manifest)
-    except StoreError as e:
+        listen = args.listen or os.environ.get("SKOSHUB_LISTEN") or config.listen
+        address = parse_listen(listen)
+    except ValueError as e:  # StoreError included
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     sys.stderr.write(diagnostics_tsv(diags))
-    listen = args.listen or os.environ.get("SKOSHUB_LISTEN") or config.listen
     app = LinkedDataApp(store, config)
     try:
-        serve(app, listen)
+        serve(app, address)
     except OSError as e:
         print("error: cannot bind %s: %s" % (listen, e), file=sys.stderr)
         return EXIT_FAILURE
@@ -142,7 +142,7 @@ def cmd_query(args) -> int:
     except (StoreError, TermError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_FAILURE
-    for t in store.export_merged().match(s=s, p=p, o=o):
+    for t in store.match(s=s, p=p, o=o):
         sys.stdout.write(format_triple(t) + "\n")
     return _finish(diags, out=sys.stderr)
 

@@ -14,6 +14,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from typing import Optional
 from urllib.parse import parse_qs, quote, unquote, urlsplit
 
@@ -125,21 +126,13 @@ class Description:
 def describe(store: MultiStore, iri: Iri, lang_pref=()) -> Description:
     """Everything the combined page and the data views need about one IRI."""
     outbound = store.subject_triples(iri)
-    inbound = store.mappings_for(iri, lang_pref)
-    neighbor_labels: dict = {}
-    neighbors = set()
-    for t in outbound:
-        if isinstance(t.object, Iri):
-            neighbors.add(t.object)
+    inbound = store.mappings_for(iri)
+    neighbors = {t.object for t in outbound if isinstance(t.object, Iri)}
     for ref in inbound:
-        neighbors.add(ref.other)
-        for m in ref.members or ():
-            neighbors.add(m)
-    for n in sorted(neighbors, key=lambda i: i.value):
-        label = store.label_of(n, lang_pref)
-        if label is not None:
-            neighbor_labels[n] = label
-    return Description(iri, outbound, inbound, neighbor_labels)
+        neighbors.update((ref.other,) + (ref.members or ()))
+    # one label_of per distinct neighbour; the page's mapping rows read these too
+    labels = {n: store.label_of(n, lang_pref) for n in neighbors}
+    return Description(iri, outbound, inbound, {n: l for n, l in labels.items() if l is not None})
 
 
 def description_graph(d: Description) -> Graph:
@@ -323,7 +316,7 @@ class LinkedDataApp:
                     % (
                         html.escape(prop_local),
                         html.escape(ref.direction),
-                        self._link(ref.other, ref.other_label),
+                        self._link(ref.other, d.neighbor_labels.get(ref.other)),
                         " [%s]" % html.escape(partner_title) if partner_title else "",
                     )
                 )
@@ -362,16 +355,10 @@ class LinkedDataApp:
             )
         except TermError as e:
             return Response(400, {"Content-Type": "text/plain; charset=utf-8"}, ("bad term: %s\n" % e).encode("utf-8"))
-        if scope is not None:
-            g = scope.graph
-        else:
-            g = self.store.export_merged()
-        results = g.match(s=s, p=p, o=o)
         limit = self.config.result_limit
+        results = list(islice((scope.graph if scope else self.store).match(s=s, p=p, o=o), limit + 1))
         truncated = len(results) > limit
-        if truncated:
-            results = results[:limit]
-        body = "".join(format_triple(t) + "\n" for t in results).encode("utf-8")
+        body = "".join(format_triple(t) + "\n" for t in results[:limit]).encode("utf-8")
         headers = {"Content-Type": NTRIPLES_TYPE + "; charset=utf-8"}
         if truncated:
             headers["X-Truncated"] = "true"
@@ -421,10 +408,17 @@ def make_server(app: LinkedDataApp, host: str, port: int) -> ThreadingHTTPServer
     return ThreadingHTTPServer((host, port), Handler)
 
 
-def serve(app: LinkedDataApp, listen: str):
-    """Run the service until interrupted; logs one line per request."""
+def parse_listen(listen: str) -> tuple:
+    """(host, port) of a HOST:PORT listen address; ValueError if it is none."""
     host, _, port = listen.rpartition(":")
-    server = make_server(app, host or "127.0.0.1", int(port))
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError("listen address %r is no HOST:PORT with a port from 0 to 65535" % listen)
+    return host or "127.0.0.1", int(port)
+
+
+def serve(app: LinkedDataApp, address: tuple):
+    """Run the service on a (host, port) until interrupted; logs one line per request."""
+    server = make_server(app, *address)
     for reg in app.store.registrations:
         log.info(
             "registered %s (%s): %d concepts",
@@ -432,7 +426,7 @@ def serve(app: LinkedDataApp, listen: str):
             reg.title,
             len(skos_index(reg.graph).concepts),
         )
-    log.info("listening on %s", listen)
+    log.info("listening on %s:%d", *address)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -8,6 +8,7 @@ during a load phase, then sealed for serving.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,11 +18,22 @@ from . import namespaces as ns
 from .graph import Graph
 from .ntriples import load_ntriples
 from .skosmodel import Diagnostic, best_label, make_diagnostic
-from .terms import Iri, Literal, PrefixMap, TermError
+from .terms import Iri, Literal, PrefixMap, TermError, Triple
 
 
 class StoreError(ValueError):
     """Registration or manifest constraint violation."""
+
+
+def match_union(graphs, s=None, p=None, o=None):
+    """Triples matching the pattern in any of graphs, in canonical order and
+    each once: every Graph.match is already sorted, so a merge of the sorted
+    lists puts equal triples next to each other."""
+    last = None
+    for t in heapq.merge(*(g.match(s, p, o) for g in graphs), key=Triple.sort_key):
+        if t != last:
+            yield t
+            last = t
 
 
 @dataclass
@@ -41,7 +53,6 @@ class MappingRef:
     property: Iri
     other: Iri                # partner concept (or combination source)
     members: Optional[tuple] = None   # combination member IRIs
-    other_label: Optional[Literal] = None
 
 
 class MultiStore:
@@ -126,53 +137,40 @@ class MultiStore:
                 by_lang.setdefault(t.object.lang or "", t.object)
         return best_label(by_lang, lang_pref)
 
-    def _combination_members(self, node: Iri) -> tuple:
-        member_prop = ns.ext_member(self.ext_namespace)
-        members = []
-        for _, g in self.mapping_graphs:
-            for t in g.match(s=node, p=member_prop):
-                if isinstance(t.object, Iri):
-                    members.append(t.object)
-        return tuple(sorted(set(members), key=lambda i: i.value))
+    def _mapping_graphs(self) -> list:
+        return [g for _, g in self.mapping_graphs]
 
-    def mappings_for(self, iri: Iri, lang_pref=()) -> list:
-        """Every outbound and inbound mapping touching iri, labels attached."""
+    def match(self, s=None, p=None, o=None):
+        """Graph.match over every named graph, read in place, each triple once."""
+        graphs = [reg.graph for reg in self.registrations] + self._mapping_graphs()
+        return match_union(graphs, s, p, o)
+
+    def _combination_members(self, node: Iri) -> tuple:
+        triples = match_union(self._mapping_graphs(), s=node, p=ns.ext_member(self.ext_namespace))
+        return tuple(t.object for t in triples if isinstance(t.object, Iri))
+
+    def mappings_for(self, iri: Iri) -> list:
+        """Every outbound and inbound mapping touching iri, one per mapping
+        triple however many graphs hold it."""
         combo_prop = ns.ext_matches_combination(self.ext_namespace)
         member_prop = ns.ext_member(self.ext_namespace)
+        graphs = self._mapping_graphs()
         refs: list[MappingRef] = []
-        for _, g in self.mapping_graphs:
-            for t in g.match(s=iri):
-                if t.predicate in ns.MAPPING_PROPERTIES and isinstance(t.object, Iri):
-                    refs.append(
-                        MappingRef(
-                            "outbound", t.predicate, t.object,
-                            other_label=self.label_of(t.object, lang_pref),
-                        )
-                    )
-                elif t.predicate == combo_prop and isinstance(t.object, Iri):
-                    members = self._combination_members(t.object)
-                    refs.append(MappingRef("outbound", t.predicate, t.object, members=members))
-            for t in g.match(o=iri):
-                if t.predicate in ns.MAPPING_PROPERTIES and isinstance(t.subject, Iri):
-                    refs.append(
-                        MappingRef(
-                            "inbound", t.predicate, t.subject,
-                            other_label=self.label_of(t.subject, lang_pref),
-                        )
-                    )
-                elif t.predicate == member_prop and isinstance(t.subject, Iri):
-                    # iri is a member of a combination node; surface the
-                    # combination's source concept as the inbound partner
-                    for _, g2 in self.mapping_graphs:
-                        for ct in g2.match(p=combo_prop, o=t.subject):
-                            if isinstance(ct.subject, Iri):
-                                refs.append(
-                                    MappingRef(
-                                        "inbound", combo_prop, ct.subject,
-                                        members=self._combination_members(t.subject),
-                                        other_label=self.label_of(ct.subject, lang_pref),
-                                    )
-                                )
+        for t in match_union(graphs, s=iri):
+            if t.predicate in ns.MAPPING_PROPERTIES and isinstance(t.object, Iri):
+                refs.append(MappingRef("outbound", t.predicate, t.object))
+            elif t.predicate == combo_prop and isinstance(t.object, Iri):
+                refs.append(MappingRef("outbound", t.predicate, t.object, self._combination_members(t.object)))
+        for t in match_union(graphs, o=iri):
+            if t.predicate in ns.MAPPING_PROPERTIES and isinstance(t.subject, Iri):
+                refs.append(MappingRef("inbound", t.predicate, t.subject))
+            elif t.predicate == member_prop and isinstance(t.subject, Iri):
+                # iri is a member of a combination node; surface the
+                # combination's source concept as the inbound partner
+                members = self._combination_members(t.subject)
+                for ct in match_union(graphs, p=combo_prop, o=t.subject):
+                    if isinstance(ct.subject, Iri):
+                        refs.append(MappingRef("inbound", combo_prop, ct.subject, members))
         refs.sort(key=lambda r: (r.direction, r.property.value, r.other.value))
         return refs
 
@@ -187,13 +185,9 @@ class MultiStore:
 
     def subject_triples(self, iri: Iri) -> list:
         """Triples about iri from its owning graph plus all mapping graphs."""
-        out = []
         reg = self.owner_of(iri)
-        if reg is not None:
-            out.extend(reg.graph.match(s=iri))
-        for _, g in self.mapping_graphs:
-            out.extend(g.match(s=iri))
-        return out
+        graphs = ([reg.graph] if reg is not None else []) + self._mapping_graphs()
+        return list(match_union(graphs, s=iri))
 
     def combined_prefix_map(self) -> PrefixMap:
         pm = PrefixMap()
@@ -292,6 +286,8 @@ def load_manifest(path):
         result_limit = int(svc.get("result_limit", 10000))
     except (TypeError, ValueError, OverflowError):
         raise StoreError("manifest 'service' needs an integer 'result_limit'")
+    if result_limit < 1:
+        raise StoreError("manifest 'service' needs a 'result_limit' of at least 1")
     config = ServiceConfig(
         listen=_field(svc, "listen", "service", "127.0.0.1:8000"),
         base_url=_field(svc, "base_url", "service", ""),

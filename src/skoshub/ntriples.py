@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .graph import Graph
 from .skosmodel import make_diagnostic
@@ -272,8 +272,10 @@ def format_triple(t: Triple) -> str:
     return "%s %s %s ." % (format_term(t.subject), format_term(t.predicate), format_term(t.object))
 
 
-def serialize_ntriples(g: Graph) -> bytes:
-    """Canonical N-Triples: sorted, one per line, trailing newline per line."""
+def serialize_ntriples(g: Iterable[Triple]) -> bytes:
+    """N-Triples, one triple per line, each line ending in a newline. Canonical
+    when g is a Graph or any other triples already in canonical order, such as
+    Graph.match or MultiStore.match."""
     lines = [format_triple(t) for t in g]
     if not lines:
         return b""

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from pathlib import Path
 
@@ -15,6 +17,15 @@ LISTING1_LINE = (
     "<http://www.w3.org/2004/02/skos/core#exactMatch> "
     "<http://zbw.eu/stw/descriptor/11971-0> ."
 )
+
+
+def fixture_manifest_json():
+    """The fixture manifest with its file paths made absolute, to edit and
+    write elsewhere."""
+    manifest = json.loads((FIXTURES / "manifest.json").read_text())
+    for entry in manifest["thesauri"] + manifest["mappings"]:
+        entry["file"] = str(FIXTURES / entry["file"])
+    return manifest
 
 
 def load_fixture_graph(name):

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skoshub import ldservice
+from skoshub import namespaces as ns
 from skoshub.cli import main
 from skoshub.ldservice import LinkedDataApp
-from skoshub.multistore import load_manifest
-from skoshub.ntriples import parse_ntriples
+from skoshub.multistore import MultiStore, load_manifest
+from skoshub.ntriples import format_triple, parse_ntriples, serialize_ntriples
 
-from conftest import FIXTURES, LISTING1_LINE, SKOS, STW_CONCEPT, THESOZ_CONCEPT
+from conftest import FIXTURES, LISTING1_LINE, SKOS, STW_CONCEPT, THESOZ_CONCEPT, fixture_manifest_json
 
 SRC = FIXTURES.parents[1] / "src"
 
@@ -31,6 +33,25 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fixture_manifest(tmp_path, **service):
+    """A copy of the fixture manifest with its service settings updated."""
+    manifest = fixture_manifest_json()
+    manifest["service"].update(service)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+@pytest.fixture()
+def no_socket(monkeypatch):
+    """Fail the test if serve gets as far as opening a listening socket."""
+    def refuse(*args):
+        raise AssertionError("serve opened a socket for %r" % (args,))
+
+    monkeypatch.setattr(ldservice, "make_server", refuse)
+    monkeypatch.delenv("SKOSHUB_LISTEN", raising=False)
 
 
 class TestValidate:
@@ -218,6 +239,48 @@ class TestQuery:
         )
         assert code == 0
         assert out.strip() == LISTING1_LINE
+
+
+def test_no_command_copies_the_store_into_one_graph(fixture_store, monkeypatch, tmp_path, capsys):
+    store, config = fixture_store
+    merged = store.export_merged()  # the reference, taken before the patch
+
+    def refuse(self):
+        raise AssertionError("export_merged called")
+
+    monkeypatch.setattr(MultiStore, "export_merged", refuse)
+    app = LinkedDataApp(store, config)
+    for path in ("/query", "/query?p=skos:exactMatch", "/thesoz/query", "/stw/query?p=skos:prefLabel"):
+        assert app.handle("GET", path, {}).status == 200
+    out = tmp_path / "merged.nt"
+    code, _, _ = run(["merge", str(FIXTURES / "manifest.json"), "--output", str(out)], capsys)
+    assert code == 0
+    assert out.read_bytes() == serialize_ntriples(merged)
+    code, stdout, _ = run(["query", str(FIXTURES / "manifest.json"), "-p", "skos:exactMatch"], capsys)
+    assert code == 0
+    assert stdout.splitlines() == [format_triple(t) for t in merged.match(p=ns.SKOS_EXACT_MATCH)]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_result_limit_below_one_exit_2(tmp_path, capsys, no_socket, limit):
+    manifest = fixture_manifest(tmp_path, result_limit=limit)
+    for argv in (["merge", manifest, "--output", str(tmp_path / "o.nt")], ["query", manifest], ["serve", manifest]):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("listen", ["foo", "127.0.0.1:notaport", "127.0.0.1:99999"])
+@pytest.mark.parametrize("source", ["flag", "env", "manifest"])
+def test_bad_listen_address_exit_2(tmp_path, capsys, monkeypatch, no_socket, listen, source):
+    argv = ["serve", fixture_manifest(tmp_path, **({"listen": listen} if source == "manifest" else {}))]
+    if source == "flag":
+        argv += ["--listen", listen]
+    elif source == "env":
+        monkeypatch.setenv("SKOSHUB_LISTEN", listen)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestInvocation:

@@ -1,5 +1,6 @@
 import contextlib
 import http.client
+import json
 import random
 import statistics
 import threading
@@ -28,7 +29,7 @@ from skoshub.ntriples import parse_ntriples
 from skoshub.skosmodel import skos_index
 from skoshub.terms import BlankNode, Iri, Literal, Triple
 
-from conftest import FIXTURES, LISTING1_LINE, STW_CONCEPT, THESOZ_CONCEPT
+from conftest import FIXTURES, LISTING1_LINE, STW_CONCEPT, THESOZ_CONCEPT, fixture_manifest_json
 from turtle_reader import parse_turtle
 
 RESOURCE_PATH = "/thesoz/resource/concept/10039068"
@@ -153,6 +154,32 @@ class TestPageRoute:
 
     def test_unknown_page_404(self, app):
         assert app.handle("GET", "/thesoz/page/concept/999", {}).status == 404
+
+    def test_each_neighbour_label_resolved_once(self, app, monkeypatch):
+        calls = []
+        label_of = MultiStore.label_of
+
+        def counting(store, iri, lang_pref=()):
+            calls.append(iri)
+            return label_of(store, iri, lang_pref)
+
+        monkeypatch.setattr(MultiStore, "label_of", counting)
+        body = app.handle("GET", PAGE_PATH + "?lang=en", {}).body.decode()
+        # the rdf:type class, the scheme, the broader concept and the exactMatch partner
+        assert len(calls) == len(set(calls)) == 4
+        assert ">Information science</a>" in body  # the partner's label in the asked language
+        calls.clear()
+        assert app.handle("GET", RESOURCE_PATH, {}).status == 303
+        assert calls == []
+
+    def test_mapping_held_by_two_graphs_is_one_row(self, tmp_path):
+        manifest = fixture_manifest_json()
+        manifest["mappings"].append(dict(manifest["mappings"][0], id="again"))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        store, config, _ = load_manifest(path)
+        body = LinkedDataApp(store, config).handle("GET", PAGE_PATH, {}).body.decode()
+        assert body.count("<li>exactMatch") == 2  # outbound and inbound, not once per graph
 
 
 class TestDataRoute:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from skoshub import namespaces as ns
 from skoshub.graph import Graph
 from skoshub.multistore import (
+    MappingRef,
     MultiStore,
     StoreError,
     ThesaurusRegistration,
@@ -17,7 +18,7 @@ from skoshub.multistore import (
 )
 from skoshub.ntriples import parse_ntriples, serialize_ntriples
 from skoshub.skosmodel import extract_concept
-from skoshub.terms import Iri, Literal, Triple
+from skoshub.terms import BlankNode, Iri, Literal, Triple
 
 from conftest import FIXTURES, STW_CONCEPT, THESOZ_CONCEPT, load_fixture_graph
 
@@ -166,7 +167,7 @@ class TestMappingsFor:
         assert len(refs) == 1
         assert refs[0].property == ns.SKOS_EXACT_MATCH
         assert refs[0].other == Iri(STW_CONCEPT)
-        assert refs[0].other_label.lexical == "Informationswissenschaft"
+        assert store.label_of(refs[0].other).lexical == "Informationswissenschaft"
 
     def test_no_mappings_empty(self):
         store = make_store()
@@ -247,6 +248,88 @@ class TestExportMerged:
         assert reparsed == merged
 
 
+# small stores over a few terms, so one triple often sits in several graphs
+COMBO = ns.ext_matches_combination(ns.DEFAULT_EXT_NS)
+MEMBER = ns.ext_member(ns.DEFAULT_EXT_NS)
+BASES = ("http://a.example/", "http://b.example/")
+SUBJECTS = [Iri(BASES[0] + "1"), Iri(BASES[0] + "2"), Iri(BASES[1] + "1"), Iri("http://c.example/k"), BlankNode("x")]
+PREDICATES = [ns.SKOS_EXACT_MATCH, ns.SKOS_BROAD_MATCH, ns.SKOS_PREF_LABEL, COMBO, MEMBER]
+OBJECTS = SUBJECTS + [Literal("a"), Literal("a", lang="de"), Literal("ä", lang="de")]
+small_graph = st.lists(
+    st.builds(Triple, st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES), st.sampled_from(OBJECTS)), max_size=8
+)
+store_parts = st.tuples(st.lists(small_graph, max_size=len(BASES)), st.lists(small_graph, max_size=3))
+SHARED = [Triple(SUBJECTS[0], ns.SKOS_EXACT_MATCH, SUBJECTS[2]), Triple(SUBJECTS[2], ns.SKOS_EXACT_MATCH, SUBJECTS[0])]
+
+
+def small_store(parts):
+    thesauri, mappings = parts
+    store = MultiStore()
+    for i, triples in enumerate(thesauri):
+        store.register_thesaurus(ThesaurusRegistration("t%d" % i, Iri(BASES[i]), Graph(triples)))
+    for i, triples in enumerate(mappings):
+        store.load_mappings("m%d" % i, Graph(triples))
+    return store
+
+
+def brute_mappings_for(store, iri):
+    """mappings_for by a linear scan of the union of the mapping graphs."""
+    triples = {t for _, g in store.mapping_graphs for t in g}
+
+    def members(node):
+        found = {t.object for t in triples if t.subject == node and t.predicate == MEMBER and isinstance(t.object, Iri)}
+        return tuple(sorted(found, key=lambda i: i.value))
+
+    refs = []
+    for t in triples:
+        if t.subject == iri and isinstance(t.object, Iri):
+            if t.predicate in ns.MAPPING_PROPERTIES:
+                refs.append(MappingRef("outbound", t.predicate, t.object))
+            elif t.predicate == COMBO:
+                refs.append(MappingRef("outbound", COMBO, t.object, members(t.object)))
+        if t.object == iri and isinstance(t.subject, Iri):
+            if t.predicate in ns.MAPPING_PROPERTIES:
+                refs.append(MappingRef("inbound", t.predicate, t.subject))
+            elif t.predicate == MEMBER:
+                for ct in triples:
+                    if ct.predicate == COMBO and ct.object == t.subject and isinstance(ct.subject, Iri):
+                        refs.append(MappingRef("inbound", COMBO, ct.subject, members(t.subject)))
+    return sorted(refs, key=lambda r: (r.direction, r.property.value, r.other.value, r.members or ()))
+
+
+class TestMatch:
+    @given(
+        store_parts,
+        st.sampled_from(SUBJECTS + [None]),
+        st.sampled_from(PREDICATES + [None]),
+        st.sampled_from(OBJECTS + [None]),
+    )
+    @example(([], []), None, None, None)
+    @example(([SHARED], [SHARED, SHARED[:1]]), None, None, None)
+    @settings(max_examples=300, deadline=None)
+    def test_match_equals_match_on_the_merged_copy(self, parts, s, p, o):
+        store = small_store(parts)
+        assert list(store.match(s, p, o)) == store.export_merged().match(s, p, o)
+
+    @given(store_parts)
+    @example(([], []))
+    @example(([SHARED], [SHARED, SHARED[:1]]))
+    @settings(max_examples=200, deadline=None)
+    def test_subject_triples_and_mappings_for_agree_with_a_scan(self, parts):
+        store = small_store(parts)
+        for iri in SUBJECTS:
+            if not isinstance(iri, Iri):
+                continue
+            reg = store.owner_of(iri)
+            graphs = ([reg.graph] if reg else []) + [g for _, g in store.mapping_graphs]
+            found = {t for g in graphs for t in g if t.subject == iri}
+            assert store.subject_triples(iri) == sorted(found, key=Triple.sort_key)
+            refs = store.mappings_for(iri)
+            assert sorted(refs, key=lambda r: (r.direction, r.property.value, r.other.value, r.members or ())) == (
+                brute_mappings_for(store, iri)
+            )
+
+
 class TestManifest:
     def test_fixture_manifest_loads(self, fixture_store):
         store, config = fixture_store
@@ -295,6 +378,7 @@ class TestManifest:
             {"thesauri": [{"id": "a", "base_iri": "http://lod.gesis.org/thesoz/", "file": "mini_thesoz.nt",
                            "prefixes": {"t": "not an iri"}}]},
             {"mappings": [{"file": "mappings.nt"}]},
+            {"service": {"result_limit": 0}},
         ],
     )
     def test_bad_entry_raises_store_error(self, tmp_path, manifest):
@@ -317,7 +401,7 @@ field_value = st.sampled_from(
         str(FIXTURES / "mini_thesoz.nt"), str(FIXTURES / "mappings.nt"), "absent.nt", str(FIXTURES),
         {"t": "http://x.example/"}, {"t": "not an iri"}, {"t": 3},
     ]
-) | json_value
+) | st.integers(max_value=0) | json_value
 
 
 def entry_of(keys):
@@ -337,12 +421,14 @@ manifest_json = st.fixed_dictionaries(
 
 @given(manifest_json)
 @example({"thesauri": [{"id": "a", "file": str(FIXTURES / "mini_thesoz.nt")}]})
+@example({"service": {"result_limit": -1}})
 @settings(max_examples=300, deadline=None)
 def test_load_manifest_loads_or_raises_store_error(manifest):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "m.json"
         path.write_text(json.dumps(manifest))
         try:
-            load_manifest(path)
+            _, config, _ = load_manifest(path)
         except StoreError:
-            pass
+            return
+        assert config.result_limit >= 1
