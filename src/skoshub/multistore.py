@@ -84,27 +84,28 @@ class MultiStore:
         return set(ns.MAPPING_PROPERTIES) | extra
 
     def load_mappings(self, id: str, g: Graph) -> list:
-        """Store a mapping graph; dangling endpoints are kept but reported."""
-        diags: list[Diagnostic] = []
+        """Store a mapping graph; foreign triples and dangling endpoints are
+        kept but reported, the foreign ones first."""
         allowed = self._mapping_predicates()
         combo_type = ns.ext_concept_combination(self.ext_namespace)
+        foreign: list[Diagnostic] = []
+        dangling: list[Diagnostic] = []
         for t in g:
             if t.predicate not in allowed or (
                 t.predicate == ns.RDF_TYPE and t.object != combo_type
             ):
-                diags.append(
+                foreign.append(
                     make_diagnostic(
                         "MAPPING_GRAPH_FOREIGN_TRIPLE",
                         subject=t.subject,
                         message="predicate %s does not belong in a mapping graph" % t.predicate,
                     )
                 )
-        for t in g:
             if t.predicate not in ns.MAPPING_PROPERTIES:
                 continue
             for endpoint in (t.subject, t.object):
                 if isinstance(endpoint, Iri) and self.owner_of(endpoint) is None:
-                    diags.append(
+                    dangling.append(
                         make_diagnostic(
                             "DANGLING_MAPPING_TARGET",
                             subject=endpoint,
@@ -113,7 +114,7 @@ class MultiStore:
                     )
         g.freeze()
         self.mapping_graphs.append((id, g))
-        return diags
+        return foreign + dangling
 
     # --- lookup ------------------------------------------------------------
 
@@ -213,10 +214,16 @@ class ServiceConfig:
 
 def _field(obj, key: str, kind: str, default=None, cls=str):
     """obj[key] of a manifest object, or default; StoreError when obj is no
-    object or the value is missing or no instance of cls."""
+    object, or the value is missing, a bool, no instance of cls, or a string
+    that is not valid Unicode (a lone surrogate escape)."""
     value = obj.get(key, default) if isinstance(obj, dict) else None
-    if not isinstance(value, cls):
-        raise StoreError("%s needs a %s %r" % (kind, cls.__name__, key))
+    if not isinstance(value, cls) or isinstance(value, bool):
+        raise StoreError("%s needs %r of type %s" % (kind, key, cls.__name__))
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise StoreError("%s %r is not valid Unicode" % (kind, key))
     return value
 
 
@@ -282,10 +289,7 @@ def load_manifest(path):
         diags.extend(file_diags)
         diags.extend(store.load_mappings(id, graph))
     svc = _field(manifest, "service", "manifest", {}, dict)
-    try:
-        result_limit = int(svc.get("result_limit", 10000))
-    except (TypeError, ValueError, OverflowError):
-        raise StoreError("manifest 'service' needs an integer 'result_limit'")
+    result_limit = _field(svc, "result_limit", "service", 10000, int)
     if result_limit < 1:
         raise StoreError("manifest 'service' needs a 'result_limit' of at least 1")
     config = ServiceConfig(

@@ -5,10 +5,16 @@ valid UTF-8, becomes a ParseError record with its 1-based line number and
 parsing continues. The writer emits one triple per line in canonical order
 (subject, predicate, object; literals after IRIs; raw UTF-8 byte
 comparison), so output is a pure function of graph content.
+
+The line grammar is one regular expression, `_LINE`: blanks, an optional
+triple, blanks, an optional comment. Escapes are checked inside the IRI
+and literal groups; the term constructors check the rest (IRI scheme and
+characters, blank node label, language tag).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Tuple, Union
@@ -24,177 +30,65 @@ class ParseError:
     message: str
 
 
-_NAMED_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f", '"': '"', "\\": "\\", "'": "'"}
-
-
 class _LineSyntaxError(ValueError):
     pass
 
 
+# ECHAR or UCHAR; unrolled loops `[^"\\]*(?:ESCAPE[^"\\]*)*` keep the
+# regex engine off a per-character alternation. Blank node labels and
+# language tags are `\w` runs; BlankNode and Literal reject any that is not
+# ASCII letters and digits (and '-' in a tag).
+_ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
+_IRI = r"<([^>\\]*(?:%s[^>\\]*)*)>" % _ESCAPE
+_LINE = re.compile(
+    r"""[ \t]*(?:
+        (?:{iri}|_:(\w+)) [ \t]* {iri} [ \t]*
+        (?:{iri}|_:(\w+)|"([^"\\]*(?:{esc}[^"\\]*)*)"(?:@([\w-]+)|\^\^{iri})?)
+        [ \t]*\.[ \t]*
+    )?(?:\#.*)?""".format(iri=_IRI, esc=_ESCAPE),
+    re.S | re.X,
+)
+_UNESCAPE = re.compile(_ESCAPE)
+_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+def _decode(m) -> str:
+    e = m.group()
+    if len(e) == 2:
+        return _ECHARS[e[1]]
+    cp = int(e[2:], 16)
+    if 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF:
+        raise _LineSyntaxError("escape %s is no Unicode scalar value" % e)
+    return chr(cp)
+
+
 def _unescape(raw: str) -> str:
-    if "\\" not in raw:
-        return raw
-    out = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise _LineSyntaxError("dangling backslash")
-        e = raw[i + 1]
-        if e in _NAMED_ESCAPES:
-            out.append(_NAMED_ESCAPES[e])
-            i += 2
-        elif e == "u":
-            hexpart = raw[i + 2 : i + 6]
-            if len(hexpart) != 4:
-                raise _LineSyntaxError("truncated \\u escape")
-            out.append(chr(_hex(hexpart)))
-            i += 6
-        elif e == "U":
-            hexpart = raw[i + 2 : i + 10]
-            if len(hexpart) != 8:
-                raise _LineSyntaxError("truncated \\U escape")
-            cp = _hex(hexpart)
-            if cp > 0x10FFFF:
-                raise _LineSyntaxError("code point out of range")
-            out.append(chr(cp))
-            i += 10
-        else:
-            raise _LineSyntaxError("unknown escape \\%s" % e)
-    return "".join(out)
+    return _UNESCAPE.sub(_decode, raw) if "\\" in raw else raw
 
 
-def _hex(s: str) -> int:
-    try:
-        return int(s, 16)
-    except ValueError:
-        raise _LineSyntaxError("bad hex digits in escape: %r" % s)
-
-
-class _Scanner:
-    def __init__(self, line: str):
-        self.line = line
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.line) and self.line[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.line)
-
-    def peek(self) -> str:
-        return self.line[self.pos] if self.pos < len(self.line) else ""
-
-    def expect(self, c: str):
-        if self.peek() != c:
-            raise _LineSyntaxError("expected %r at column %d" % (c, self.pos + 1))
-        self.pos += 1
-
-    def read_iri(self) -> Iri:
-        self.expect("<")
-        end = self.line.find(">", self.pos)
-        if end < 0:
-            raise _LineSyntaxError("unterminated IRI")
-        raw = self.line[self.pos : end]
-        self.pos = end + 1
-        try:
-            return Iri(_unescape(raw))
-        except TermError as e:
-            raise _LineSyntaxError(str(e))
-
-    def read_bnode(self) -> BlankNode:
-        self.expect("_")
-        self.expect(":")
-        start = self.pos
-        while self.pos < len(self.line) and self.line[self.pos].isalnum():
-            self.pos += 1
-        if self.pos == start:
-            raise _LineSyntaxError("empty blank node label")
-        try:
-            return BlankNode(self.line[start : self.pos])
-        except TermError as e:
-            raise _LineSyntaxError(str(e))
-
-    def read_literal(self) -> Literal:
-        self.expect('"')
-        # scan for closing quote, skipping escaped characters
-        i = self.pos
-        line = self.line
-        while True:
-            if i >= len(line):
-                raise _LineSyntaxError("unterminated literal")
-            c = line[i]
-            if c == "\\":
-                i += 2
-            elif c == '"':
-                break
-            else:
-                i += 1
-        lexical = _unescape(line[self.pos : i])
-        self.pos = i + 1
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while self.pos < len(line) and (line[self.pos].isalnum() or line[self.pos] == "-"):
-                self.pos += 1
-            tag = line[start : self.pos]
-            if not tag:
-                raise _LineSyntaxError("empty language tag")
-            try:
-                return Literal(lexical, lang=tag.lower())
-            except TermError as e:
-                raise _LineSyntaxError(str(e))
-        if self.line[self.pos : self.pos + 2] == "^^":
-            self.pos += 2
-            dt = self.read_iri()
-            return Literal(lexical, datatype=dt)
-        return Literal(lexical)
-
-    def read_subject(self) -> Union[Iri, BlankNode]:
-        if self.peek() == "<":
-            return self.read_iri()
-        if self.peek() == "_":
-            return self.read_bnode()
-        raise _LineSyntaxError("expected IRI or blank node")
-
-    def read_object(self) -> Term:
-        c = self.peek()
-        if c == "<":
-            return self.read_iri()
-        if c == "_":
-            return self.read_bnode()
-        if c == '"':
-            return self.read_literal()
-        raise _LineSyntaxError("expected IRI, blank node, or literal")
+def _iri(raw: str) -> Iri:
+    return Iri(_unescape(raw))
 
 
 def parse_line(line: str) -> Optional[Triple]:
     """Parse one N-Triples line; None for blank/comment lines.
 
-    Raises _LineSyntaxError internally; callers use parse_ntriples for the
-    recoverable interface.
+    Raises _LineSyntaxError or TermError; callers use parse_ntriples for
+    the recoverable interface.
     """
-    sc = _Scanner(line)
-    sc.skip_ws()
-    if sc.at_end() or sc.peek() == "#":
+    m = _LINE.fullmatch(line)
+    if m is None:
+        raise _LineSyntaxError("not an N-Triples line")
+    s, s_bnode, p, o, o_bnode, lexical, lang, datatype = m.groups()
+    if p is None:
         return None
-    s = sc.read_subject()
-    sc.skip_ws()
-    p = sc.read_iri()
-    sc.skip_ws()
-    o = sc.read_object()
-    sc.skip_ws()
-    sc.expect(".")
-    sc.skip_ws()
-    if not sc.at_end() and sc.peek() != "#":
-        raise _LineSyntaxError("trailing content after '.'")
-    return Triple(s, p, o)
+    if o is not None:
+        obj = _iri(o)
+    elif o_bnode is not None:
+        obj = BlankNode(o_bnode)
+    else:
+        obj = Literal(_unescape(lexical), lang=lang, datatype=None if datatype is None else _iri(datatype))
+    return Triple(BlankNode(s_bnode) if s is None else _iri(s), _iri(p), obj)
 
 
 def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
@@ -235,24 +129,13 @@ def load_ntriples(path) -> Tuple[Graph, list]:
     ]
 
 
+# the writer's escapes: backslash, quote, and every control character below 0x20
+_ESCAPES = {c: "\\u%04X" % c for c in range(0x20)}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for c in s:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif ord(c) < 0x20:
-            out.append("\\u%04X" % ord(c))
-        else:
-            out.append(c)
-    return "".join(out)
+    return s.translate(_ESCAPES)
 
 
 def format_term(t: Term) -> str:

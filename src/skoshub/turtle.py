@@ -13,7 +13,7 @@ from itertools import groupby
 
 from .graph import Graph
 from .namespaces import RDF_TYPE
-from .terms import Iri, PrefixMap, Term, Triple
+from .terms import Iri, PrefixMap, Term
 from .ntriples import _escape
 
 # Conservative PN_LOCAL: avoids the Turtle grammar's trickier corners
@@ -50,9 +50,8 @@ def serialize_turtle(g: Graph, prefixes: PrefixMap) -> bytes:
         return b""
     used: set[str] = set()
     body_lines: list[str] = []
-    triples = sorted(g, key=Triple.sort_key)
-    for subject, group in groupby(triples, key=lambda t: t.subject):
-        group = list(group)
+    # a Graph iterates in canonical order, so each subject's triples are adjacent
+    for subject, group in groupby(g, key=lambda t: t.subject):
         subj_str = _term(subject, prefixes, used)
         pred_parts = []
         for predicate, pgroup in groupby(group, key=lambda t: t.predicate):

@@ -293,11 +293,11 @@ class TestInvocation:
         assert "--nonpreferred" in out
 
 
-@pytest.fixture()
-def broken_thesoz(tmp_path):
-    """A copy of the TheSoz fixture with a bad line 3, and a manifest that loads it."""
+def thesoz_with_line(tmp_path, line):
+    """A copy of the TheSoz fixture with line inserted as line 3, and a
+    manifest that loads it."""
     lines = (FIXTURES / "mini_thesoz.nt").read_text(encoding="utf-8").splitlines()
-    lines.insert(2, "<http://lod.gesis.org/thesoz/concept/1> <broken")
+    lines.insert(2, line)
     bad = tmp_path / "mini_thesoz.nt"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest = json.loads((FIXTURES / "manifest.json").read_text())
@@ -309,14 +309,20 @@ def broken_thesoz(tmp_path):
     return bad, manifest_path
 
 
+@pytest.fixture()
+def broken_thesoz(tmp_path):
+    """A copy of the TheSoz fixture with a bad line 3, and a manifest that loads it."""
+    return thesoz_with_line(tmp_path, "<http://lod.gesis.org/thesoz/concept/1> <broken")
+
+
+def located(report):
+    return [(r["code"], *r["source"]) for r in json.loads(report) if r["code"] == "NT_SYNTAX"]
+
+
 class TestOneLoader:
     def test_every_command_reports_the_same_bad_line(self, broken_thesoz, tmp_path, capsys):
         bad, manifest_path = broken_thesoz
         expected = [("NT_SYNTAX", str(bad), 3)]
-
-        def located(report):
-            return [(r["code"], *r["source"]) for r in json.loads(report) if r["code"] == "NT_SYNTAX"]
-
         code, out, _ = run(["validate", "--report-json", str(bad)], capsys)
         assert (code, located(out)) == (1, expected)
         code, out, _ = run(
@@ -341,6 +347,25 @@ class TestOneLoader:
         assert code == 1
         assert LISTING1_LINE in out.splitlines()
         assert "NT_SYNTAX" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '<http://lod.gesis.org/thesoz/concept/1> <%sprefLabel> "x\\uD800y"@de .' % SKOS,
+            "<http://lod.gesis.org/thesoz/concept/\\uDFFF> <%sprefLabel> \"x\"@de ." % SKOS,
+        ],
+        ids=["literal", "iri"],
+    )
+    def test_escape_of_no_scalar_value_is_a_bad_line(self, tmp_path, capsys, line):
+        bad, manifest_path = thesoz_with_line(tmp_path, line)
+        code, out, err = run(["validate", "--report-json", str(bad)], capsys)
+        assert (code, located(out)) == (1, [("NT_SYNTAX", str(bad), 3)])
+        assert "Traceback" not in err
+        merged, clean = tmp_path / "merged.nt", tmp_path / "clean.nt"
+        code, _, err = run(["merge", str(manifest_path), "--output", str(merged)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert run(["merge", str(FIXTURES / "manifest.json"), "--output", str(clean)], capsys)[0] == 0
+        assert merged.read_bytes() == clean.read_bytes()
 
     def test_serve_prints_load_diagnostics_before_listening(self, broken_thesoz):
         _, manifest_path = broken_thesoz

@@ -97,6 +97,25 @@ class TestLoadMappings:
         diags = store.load_mappings("m", g)
         assert "MAPPING_GRAPH_FOREIGN_TRIPLE" in [d.code for d in diags]
 
+    def test_graph_sorted_once_foreign_triples_reported_first(self, monkeypatch):
+        store = make_store()
+        g = Graph(
+            [
+                Triple(Iri(THESOZ_CONCEPT), ns.SKOS_PREF_LABEL, Iri(STW_CONCEPT)),
+                Triple(Iri("http://a.example/c:1"), ns.SKOS_EXACT_MATCH, Iri("http://b.example/c:1")),
+            ]
+        )
+        calls = []
+        sort_key = Triple.sort_key
+        monkeypatch.setattr(Triple, "sort_key", lambda t: calls.append(t) or sort_key(t))
+        diags = store.load_mappings("m", g)
+        assert len(calls) == len(g)
+        assert [(d.code, d.subject.value) for d in diags] == [
+            ("MAPPING_GRAPH_FOREIGN_TRIPLE", THESOZ_CONCEPT),
+            ("DANGLING_MAPPING_TARGET", "http://a.example/c:1"),
+            ("DANGLING_MAPPING_TARGET", "http://b.example/c:1"),
+        ]
+
 
 def lookup(store, iri):
     """(registration id, Concept view or None), or None when no base matches."""
@@ -379,6 +398,11 @@ class TestManifest:
                            "prefixes": {"t": "not an iri"}}]},
             {"mappings": [{"file": "mappings.nt"}]},
             {"service": {"result_limit": 0}},
+            {"service": {"result_limit": 2.5}},
+            {"service": {"result_limit": True}},
+            {"service": {"result_limit": "7"}},
+            {"thesauri": [{"id": "a", "base_iri": "http://lod.gesis.org/thesoz/", "file": "mini_thesoz.nt",
+                           "title": "TheSoz \ud800"}]},
         ],
     )
     def test_bad_entry_raises_store_error(self, tmp_path, manifest):

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,3 +160,127 @@ def test_single_triple_line_round_trips(t):
     g, errors = parse_ntriples(format_triple(t))
     assert errors == []
     assert set(g) == {t}
+
+
+@pytest.mark.parametrize(
+    "escape", ["\\uD800", "\\uDBFF", "\\uDC00", "\\uDFFF", "\\U0000D800", "\\U00110000", "\\UFFFFFFFF"]
+)
+def test_escape_of_no_scalar_value_reported_with_line_number(escape):
+    data = (
+        LISTING1_LINE + "\n"
+        + '<http://e.org/s:1> <http://e.org/p:1> "x%sy"@de .\n' % escape
+        + "<http://e.org/s:%s> <http://e.org/p:1> <http://e.org/o:1> .\n" % escape
+    )
+    g, errors = parse_ntriples(data)
+    assert [e.line for e in errors] == [2, 3]
+    assert serialize_ntriples(g) == (LISTING1_LINE + "\n").encode("utf-8")
+
+
+# --- the line grammar, piece by piece ----------------------------------------
+# A piece is (text, term): the term a valid piece stands for, or None for a
+# piece that no line holding it survives. A line parses exactly when each of
+# its pieces is valid, and then gives the triple of their terms.
+
+UCHARS = [("\\u00E4", "ä"), ("\\u00e4", "ä"), ("\\U0001F600", "\U0001F600"), ("\\u0041", "A")]
+ECHARS = [("\\t", "\t"), ("\\b", "\b"), ("\\n", "\n"), ("\\r", "\r"), ("\\f", "\f"), ('\\"', '"'), ("\\'", "'"),
+          ("\\\\", "\\")]
+BAD_ESCAPES = ["\\q", "\\u00G0", "\\u12", "\\uD800", "\\uDFFF", "\\U0000DC00", "\\U00110000", "\\"]
+SEPARATORS = st.sampled_from(["", " ", "\t", " \t "])
+# no '"' or '>' in a comment, so it cannot close an unterminated term before it
+COMMENT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='\n\r">'), max_size=8)
+JUNK = st.builds(
+    "{}{}".format,
+    st.sampled_from("?x.'[(0="),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=8),
+).map(lambda text: (text, None))
+
+
+def invalid(texts):
+    return st.sampled_from(texts).map(lambda text: (text, None))
+
+
+def decoded(chunks):
+    return "".join(text for text, _ in chunks), "".join(value for _, value in chunks)
+
+
+iri_chunks = st.lists(
+    st.text("abcXYZ019-._~%!$&'()*+,;=:@/?#{}|^`äß", min_size=1, max_size=4).map(lambda s: (s, s))
+    | st.sampled_from(UCHARS),
+    max_size=4,
+).map(decoded)
+valid_iri = iri_chunks.map(lambda c: ("<http://e.org/%s>" % c[0], Iri("http://e.org/" + c[1])))
+invalid_iri = st.builds(
+    lambda c, escape: ("<http://e.org/%s%s>" % (c[0], escape), None), iri_chunks, st.sampled_from(BAD_ESCAPES)
+) | invalid(
+    ["<http://e.org/a b>", "<no-scheme>", "<>", "<http://e.org/a", "<http://e.org/\\u003E>", "<http://e.org/\\n>"]
+)
+valid_bnode = st.from_regex(r"[A-Za-z0-9]{1,8}", fullmatch=True).map(lambda label: ("_:" + label, BlankNode(label)))
+invalid_bnode = invalid(["_:", "_:ä", "_:a_b", "_:-x", "_:b٣"])
+
+lexical_chunks = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\\n\r'), min_size=1, max_size=4)
+    .map(lambda s: (s, s))
+    | st.sampled_from(UCHARS + ECHARS + [("\\u0022", '"'), ("\\u005C", "\\")]),
+    max_size=4,
+).map(decoded)
+suffix = st.one_of(
+    st.just(("", {})),
+    st.sampled_from([("@de", "de"), ("@EN", "en"), ("@pt-BR", "pt-br"), ("@de-1996", "de-1996")]).map(
+        lambda tag: (tag[0], {"lang": tag[1]})
+    ),
+    valid_iri.map(lambda dt: ("^^" + dt[0], {"datatype": dt[1]})),
+)
+valid_literal = st.builds(
+    lambda lex, suf: ('"%s"%s' % (lex[0], suf[0]), Literal(lex[1], **suf[1])), lexical_chunks, suffix
+)
+invalid_literal = st.builds(
+    lambda lex, escape: ('"%s%s"' % (lex[0], escape), None), lexical_chunks, st.sampled_from(BAD_ESCAPES)
+) | invalid(
+    ['"abc', '"a"b"', '"x"@', '"x"@1de', '"x"@d', '"x"@de_x', '"x"@dé', '"x"@de-', '"x"^^', '"x"^^<no-scheme>',
+       '"x"^<http://e.org/dt>', '"x"@de^^<http://e.org/dt>', '"x"^^_:b1']
+)
+
+
+def as_invalid(pieces):
+    return pieces.map(lambda piece: (piece[0], None))
+
+
+def mostly_valid(valid, invalid):
+    """A valid piece three times in four, so that many lines hold one bad piece."""
+    return st.sampled_from([valid, valid, valid, invalid]).flatmap(lambda pieces: pieces)
+
+
+subjects = mostly_valid(
+    valid_iri | valid_bnode, st.one_of(invalid_iri, invalid_bnode, as_invalid(valid_literal), JUNK)
+)
+predicates = mostly_valid(valid_iri, st.one_of(invalid_iri, as_invalid(valid_bnode), JUNK))
+objects = mostly_valid(
+    st.one_of(valid_iri, valid_bnode, valid_literal), st.one_of(invalid_iri, invalid_bnode, invalid_literal, JUNK)
+)
+ends = mostly_valid(
+    st.builds(lambda sep, comment: ("." + sep + comment, True), SEPARATORS, st.just("") | COMMENT.map("#{}".format)),
+    st.sampled_from(["", " x", ". x", ". .", ".x", ".."]).map(lambda text: (text, False)),
+)
+
+
+@st.composite
+def triple_lines(draw):
+    """(line, the triple it holds, or None when some piece is invalid)."""
+    s, p, o = draw(subjects), draw(predicates), draw(objects)
+    end, end_ok = draw(ends)
+    line = draw(st.sampled_from(["", " ", "\t "])) + s[0]
+    line += draw(SEPARATORS) + p[0] + draw(SEPARATORS) + o[0] + draw(SEPARATORS) + end
+    valid = end_ok and None not in (s[1], p[1], o[1])
+    return line, Triple(s[1], p[1], o[1]) if valid else None
+
+
+@given(triple_lines())
+@settings(max_examples=500, deadline=None)
+def test_line_parses_exactly_when_every_piece_is_valid(case):
+    line, expected = case
+    g, errors = parse_ntriples(line)
+    if expected is None:
+        assert (len(g), [e.line for e in errors]) == (0, [1])
+    else:
+        assert (set(g), errors) == ({expected}, [])
+

@@ -24,6 +24,14 @@ def test_listing1_uses_skos_prefix():
     assert "skos:exactMatch" in out
 
 
+def test_graph_sorted_once(thesoz_graph, monkeypatch):
+    calls = []
+    sort_key = Triple.sort_key
+    monkeypatch.setattr(Triple, "sort_key", lambda t: calls.append(t) or sort_key(t))
+    serialize_turtle(thesoz_graph, skos_prefixes())
+    assert len(calls) == len(thesoz_graph)
+
+
 def test_empty_graph_emits_nothing():
     assert serialize_turtle(Graph(), skos_prefixes()) == b""
 
