@@ -1,17 +1,16 @@
-"""Indexed in-memory triple container with set semantics.
+"""In-memory triple container with set semantics.
 
 Construction is single-writer; freeze() seals the graph for shared
-read-only use. All lookups return triples in canonical order.
-
-SKOS views (concept to schemes, the typed concept set) read one derived
-index per graph, built by `skosmodel.skos_index` on first use and kept in
-`memo`. Every insert drops it, so an unsealed graph never serves a stale
-view; a sealed graph keeps it for good.
+read-only use. All lookups return triples in canonical order, read from
+one view: the triples, plus a dict per position from term to the triples
+holding it there. An insert drops the view and `memo` (the index that
+`skosmodel.skos_index` keeps). freeze() sorts once and builds the view in
+canonical order, so a sealed graph (`serve` seals each one before it
+listens) answers without sorting; one still being built sorts each answer.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator, Optional
 
 from .terms import Iri, Term, Triple
@@ -24,9 +23,7 @@ class SealedGraphError(RuntimeError):
 class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
-        self._by_s: dict = defaultdict(set)
-        self._by_p: dict = defaultdict(set)
-        self._by_o: dict = defaultdict(set)
+        self._view = None  # (triples, by subject, by predicate, by object)
         self._frozen = False
         self.memo = None  # derived view owned by skosmodel.skos_index
         for t in triples:
@@ -39,22 +36,32 @@ class Graph:
         if t in self._triples:
             return False
         self._triples.add(t)
-        self._by_s[t.subject].add(t)
-        self._by_p[t.predicate].add(t)
-        self._by_o[t.object].add(t)
-        self.memo = None
+        self._view = self.memo = None
         return True
 
     def update(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.insert(t))
 
     def freeze(self):
-        self._frozen = True
+        if not self._frozen:
+            self._frozen, self._view = True, None
+            self._index()
         return self
 
     @property
     def frozen(self) -> bool:
         return self._frozen
+
+    def _index(self):
+        if self._view is None:
+            order = sorted(self._triples, key=Triple.sort_key) if self._frozen else list(self._triples)
+            by_s, by_p, by_o = {}, {}, {}
+            for t in order:
+                by_s.setdefault(t.subject, []).append(t)
+                by_p.setdefault(t.predicate, []).append(t)
+                by_o.setdefault(t.object, []).append(t)
+            self._view = (order, by_s, by_p, by_o)
+        return self._view
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -63,7 +70,7 @@ class Graph:
         return t in self._triples
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(self._view[0] if self._frozen else sorted(self._triples, key=Triple.sort_key))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -79,21 +86,14 @@ class Graph:
         p: Optional[Iri] = None,
         o: Optional[Term] = None,
     ) -> list[Triple]:
-        """All triples matching the bound positions, canonically ordered."""
-        candidates = None
-        if s is not None:
-            candidates = self._by_s.get(s, set())
-        if p is not None:
-            byp = self._by_p.get(p, set())
-            candidates = byp if candidates is None else candidates & byp
-        if o is not None:
-            byo = self._by_o.get(o, set())
-            candidates = byo if candidates is None else candidates & byo
-        if candidates is None:
-            candidates = self._triples
-        # each index holds exactly the triples with that term in that
-        # position, so the candidates need no second filter
-        return sorted(candidates, key=Triple.sort_key)
+        """All triples matching the bound positions, canonically ordered; read-only."""
+        order, by_s, by_p, by_o = self._index()
+        bound = [by.get(term, []) for by, term in ((by_s, s), (by_p, p), (by_o, o)) if term is not None]
+        found = min(bound, key=len) if bound else order
+        if len(bound) > 1:
+            found = [t for t in found if (s is None or t.subject == s) and (p is None or t.predicate == p)
+                     and (o is None or t.object == o)]
+        return found if self._frozen else sorted(found, key=Triple.sort_key)
 
     def copy(self) -> "Graph":
         return Graph(self._triples)

@@ -90,7 +90,7 @@ class MultiStore:
         combo_type = ns.ext_concept_combination(self.ext_namespace)
         foreign: list[Diagnostic] = []
         dangling: list[Diagnostic] = []
-        for t in g:
+        for t in g.freeze():
             if t.predicate not in allowed or (
                 t.predicate == ns.RDF_TYPE and t.object != combo_type
             ):
@@ -112,7 +112,6 @@ class MultiStore:
                             message="%s is under no registered base IRI" % endpoint,
                         )
                     )
-        g.freeze()
         self.mapping_graphs.append((id, g))
         return foreign + dangling
 

@@ -254,10 +254,6 @@ def extract_concept(g: Graph, iri: Iri) -> Optional[Concept]:
             c.narrower.add(o)
         elif p == ns.SKOS_RELATED and isinstance(o, Iri):
             c.related.add(o)
-    for lang in c.altLabels:
-        c.altLabels[lang].sort(key=lambda l: l.lexical)
-    for lang in c.hiddenLabels:
-        c.hiddenLabels[lang].sort(key=lambda l: l.lexical)
     return c
 
 
