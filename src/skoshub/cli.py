@@ -33,7 +33,7 @@ from .skosmodel import (
     resolve_xl_labels,
     validate_skos,
 )
-from .terms import TermError, parse_pattern
+from .terms import Iri, TermError, parse_pattern
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC_ERRORS = 1
@@ -74,6 +74,7 @@ def cmd_validate(args) -> int:
 
 def cmd_convert(args) -> int:
     try:
+        Iri(args.ext_namespace)  # a TermError is a ValueError: exit 2 before any output
         source, diags = _load_folded(args.source)
         target, target_diags = _load_folded(args.target)
         diags.extend(target_diags)

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import namespaces as ns
 from .graph import Graph
+from .ntriples import utf8_lines
 from .skosmodel import Diagnostic, extract_schemes, make_diagnostic
 from .terms import Iri, Literal, Triple
 
@@ -173,11 +174,10 @@ _RELATIONS = {r.value: r for r in RelationCode}
 def parse_crosswalk(data, filename: str = "<crosswalk>"):
     """Parse the tab-separated crosswalk format.
 
-    Returns (header, entries, diagnostics). Malformed lines yield
-    XWALK_SYNTAX diagnostics; later valid lines are still parsed.
+    Returns (header, entries, diagnostics). Malformed lines, and lines
+    that are not valid UTF-8, yield XWALK_SYNTAX diagnostics; later valid
+    lines are still parsed.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     header: Optional[CrosswalkHeader] = None
     entries: list[CrosswalkEntry] = []
     diags: list[Diagnostic] = []
@@ -185,7 +185,10 @@ def parse_crosswalk(data, filename: str = "<crosswalk>"):
     def syntax(lineno, msg):
         diags.append(make_diagnostic("XWALK_SYNTAX", message=msg, source_location=(filename, lineno)))
 
-    for lineno, raw in enumerate(data.split("\n"), start=1):
+    for lineno, raw in enumerate(utf8_lines(data), start=1):
+        if raw is None:
+            syntax(lineno, "line is not valid UTF-8")
+            continue
         line = raw.rstrip("\r")
         if not line.strip():
             continue

@@ -1,10 +1,11 @@
 """Line-based N-Triples reader and canonical writer.
 
 The reader is line-recoverable: every bad line, including one that is not
-valid UTF-8, becomes a ParseError record with its 1-based line number and
-parsing continues. The writer emits one triple per line in canonical order
-(subject, predicate, object; literals after IRIs; raw UTF-8 byte
-comparison), so output is a pure function of graph content.
+valid UTF-8 (`utf8_lines`, shared with the crosswalk reader), becomes a
+ParseError record with its 1-based line number and parsing continues.
+The writer emits one triple per line in canonical order (subject,
+predicate, object; literals after IRIs; raw UTF-8 byte comparison), so
+output is a pure function of graph content.
 
 The line grammar is one regular expression, `_LINE`: blanks, an optional
 triple, blanks, an optional comment. Escapes are checked inside the IRI
@@ -34,12 +35,14 @@ class _LineSyntaxError(ValueError):
     pass
 
 
-# ECHAR or UCHAR; unrolled loops `[^"\\]*(?:ESCAPE[^"\\]*)*` keep the
-# regex engine off a per-character alternation. Blank node labels and
-# language tags are `\w` runs; BlankNode and Literal reject any that is not
-# ASCII letters and digits (and '-' in a tag).
-_ESCAPE = r"""\\(?:[tbnrf"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"""
-_IRI = r"<([^>\\]*(?:%s[^>\\]*)*)>" % _ESCAPE
+# UCHAR in IRIs, ECHAR or UCHAR in literals; unrolled loops
+# `[^"\\]*(?:ESCAPE[^"\\]*)*` keep the regex engine off a per-character
+# alternation. Blank node labels and language tags are `\w` runs; BlankNode
+# and Literal reject any that is not ASCII letters and digits (and '-' in a
+# tag).
+_UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+_ESCAPE = r"""(?:\\[tbnrf"'\\]|%s)""" % _UCHAR
+_IRI = r"<([^>\\]*(?:%s[^>\\]*)*)>" % _UCHAR
 _LINE = re.compile(
     r"""[ \t]*(?:
         (?:{iri}|_:(\w+)) [ \t]* {iri} [ \t]*
@@ -91,24 +94,37 @@ def parse_line(line: str) -> Optional[Triple]:
     return Triple(BlankNode(s_bnode) if s is None else _iri(s), _iri(p), obj)
 
 
+def _utf8(line: bytes) -> Optional[str]:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def utf8_lines(data: Union[bytes, str]) -> list:
+    """The lines of data, split at LF, with None for each line that is not
+    valid UTF-8. A str is encoded first, lone surrogates passed through, so
+    a line that holds one is invalid too."""
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        # decode line by line so only the undecodable lines are lost
+        return [_utf8(line) for line in data.split(b"\n")]
+
+
 def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
     """Parse N-Triples input; every bad line becomes a ParseError record."""
-    if isinstance(data, bytes):
-        try:
-            lines = data.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            # decode line by line so only the undecodable lines are lost
-            lines = data.split(b"\n")
-    else:
-        lines = data.split("\n")
     g = Graph()
     errors: list[ParseError] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(utf8_lines(data), start=1):
+        if line is None:
+            errors.append(ParseError(lineno, "line is not valid UTF-8"))
+            continue
         try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
             t = parse_line(line.rstrip("\r"))
-        except (UnicodeDecodeError, _LineSyntaxError, TermError) as e:
+        except (_LineSyntaxError, TermError) as e:
             errors.append(ParseError(lineno, str(e)))
             continue
         if t is not None:

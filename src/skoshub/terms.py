@@ -12,6 +12,9 @@ from typing import Optional, Union
 
 _LANG_RE = re.compile(r"^[a-z]{2,3}(-[a-z0-9]{1,8})*$")
 _BNODE_RE = re.compile(r"^[A-Za-z0-9]+$")
+# what RDF 1.1 IRIREF forbids: U+0000-U+0020, <>"{}|^` and the backslash;
+# and lone surrogates, which no UTF-8 output can hold
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
 
 
 class TermError(ValueError):
@@ -26,7 +29,7 @@ class Iri:
         v = self.value
         if not v:
             raise TermError("empty IRI")
-        if any(c in v for c in ' \t\r\n<>"'):
+        if _IRI_FORBIDDEN.search(v):
             raise TermError("IRI contains forbidden character: %r" % v)
         colon = v.find(":")
         slash = v.find("/")

@@ -123,6 +123,24 @@ class TestConvert:
         code, _, _, err = self.convert(capsys, tmp_path, "absent.xwalk")
         assert code == 2
 
+    def test_crosswalk_line_not_utf8_is_reported_and_the_rest_converted(self, capsys, tmp_path):
+        crosswalk = tmp_path / "bad.xwalk"
+        crosswalk.write_bytes((FIXTURES / "listing1.xwalk").read_bytes() + b"Arbeit\xff\t=\tArbeit\n")
+        lines = crosswalk.read_bytes().count(b"\n")
+        code, out_path, report, _ = self.convert(capsys, tmp_path, str(crosswalk), "--report-json")
+        assert code == 1
+        assert [(r["code"], r["source"]) for r in json.loads(report) if r["severity"] == "Error"] == [
+            ("XWALK_SYNTAX", [str(crosswalk), lines])
+        ]
+        assert out_path.read_bytes() == (LISTING1_LINE + "\n" + INVERSE_LINE + "\n").encode()
+
+    @pytest.mark.parametrize("namespace", ["foo", "http://e.org/a b#"])
+    def test_ext_namespace_not_an_iri_exit_2(self, capsys, tmp_path, namespace):
+        code, out_path, report, err = self.convert(capsys, tmp_path, "full.xwalk", "--ext-namespace", namespace)
+        assert code == 2
+        assert report == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir()
@@ -226,6 +244,11 @@ class TestQuery:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag, term", [("--subject", "<http://e.org/{x}>"), ("--object", "http://e.org/a|b")])
+    def test_iri_that_rdf_forbids_exit_2(self, capsys, flag, term):
+        code, _, err = run(["query", str(FIXTURES / "manifest.json"), flag, term], capsys)
+        assert code == 2 and err.startswith("error: ")
 
     def test_manifest_prefix_expansion(self, capsys):
         code, out, _ = run(

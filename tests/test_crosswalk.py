@@ -75,6 +75,16 @@ class TestParseCrosswalk:
         assert diags == []
         assert entries[0].source_term == "Zwei Worte"
 
+    @pytest.mark.parametrize(
+        "data",
+        [HEADER.encode() + b"Arbeit\xff\t=\tArbeit\na\t=\tb\n", HEADER + "Arbeit\ud800\t=\tArbeit\na\t=\tb\n"],
+        ids=["bytes-not-utf8", "str-with-lone-surrogate"],
+    )
+    def test_line_not_utf8_is_syntax_error_and_later_lines_parse(self, data):
+        _, entries, diags = parse_crosswalk(data)
+        assert [(d.code, d.source_location[1]) for d in diags] == [("XWALK_SYNTAX", 2)]
+        assert [(e.source_term, e.line) for e in entries] == [("a", 3)]
+
 
 class TestResolveTerm:
     def test_preferred_hit(self, thesoz_view):

@@ -106,3 +106,66 @@ def test_union_is_set_union(seeds):
     b = Graph(pool[i] for i in seeds[len(seeds) // 2 :])
     u = a.union(b)
     assert set(u) == set(a) | set(b)
+
+
+# --- the view: both paths and its invalidation --------------------------------
+
+SUBJECTS = st.sampled_from(IRIS[:4] + [BlankNode("b0"), BlankNode("b1")])
+PREDICATES = st.sampled_from(PREDS[:3])
+OBJECTS = st.sampled_from(IRIS[:4] + [BlankNode("b0"), Literal("v"), Literal("v", lang="de"), Literal("w", lang="en")])
+INSERT = st.tuples(st.just("insert"), st.builds(Triple, SUBJECTS, PREDICATES, OBJECTS))
+MATCH = st.tuples(st.just("match"), st.none() | SUBJECTS, st.none() | PREDICATES, st.none() | OBJECTS)
+# freeze is one draw in eight, so most runs read the graph while it is built
+OPS = st.one_of(INSERT, INSERT, INSERT, MATCH, MATCH, MATCH, st.just(("iter",)), st.just(("freeze",)))
+
+
+def brute_force(triples, s=None, p=None, o=None):
+    found = [
+        t for t in triples
+        if (s is None or t.subject == s) and (p is None or t.predicate == p) and (o is None or t.object == o)
+    ]
+    return sorted(found, key=Triple.sort_key)
+
+
+@given(st.lists(OPS, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_reads_agree_with_a_sorted_brute_force_filter(ops):
+    g, model = Graph(), set()
+    for op, *args in ops + [("freeze",), ("iter",)]:
+        if op == "insert" and g.frozen:
+            with pytest.raises(SealedGraphError):
+                g.insert(args[0])
+        elif op == "insert":
+            assert g.insert(args[0]) is (args[0] not in model)
+            model.add(args[0])
+        elif op == "freeze":
+            assert g.freeze() is g
+        elif op == "iter":
+            assert list(g) == brute_force(model)
+        else:
+            assert g.match(*args) == brute_force(model, *args)
+        assert len(g) == len(model)
+
+
+def count_sort_keys(monkeypatch):
+    calls = []
+    for cls in (Iri, BlankNode, Literal, Triple):
+        sort_key = cls.sort_key
+        monkeypatch.setattr(cls, "sort_key", lambda t, sort_key=sort_key: calls.append(t) or sort_key(t))
+    return calls
+
+
+def test_a_graph_is_sorted_once_at_freeze_and_never_again(monkeypatch):
+    rng = random.Random(11)
+    g = Graph(rand_triple(rng) for _ in range(300))
+    g.match(s=IRIS[0])  # a view built before the seal is rebuilt in canonical order
+    calls = count_sort_keys(monkeypatch)
+    g.freeze()
+    assert sum(isinstance(t, Triple) for t in calls) == len(g)
+    del calls[:]
+    g.freeze()
+    patterns = [(s, p, o) for s in (None, IRIS[0]) for p in (None, PREDS[0]) for o in (None, IRIS[1])]
+    results = [g.match(*pattern) for pattern in patterns]
+    assert list(g) == results[0]
+    assert calls == []
+    assert all(r == sorted(r, key=Triple.sort_key) for r in results)

@@ -286,6 +286,7 @@ class TestQueryEndpoint:
     def test_malformed_term_400(self, app):
         assert app.handle("GET", "/query?s=%22unterminated", {}).status == 400
         assert app.handle("GET", '/query?p="literal"', {}).status == 400
+        assert app.handle("GET", "/query?s=%3Chttp://e.org/%7Bx%7D%3E", {}).status == 400
 
     def test_matches_graph_match_oracle(self, app, fixture_store):
         store, _ = fixture_store

@@ -18,6 +18,21 @@ def test_parse_single_mapping_line():
     assert t.object == Iri("http://zbw.eu/stw/descriptor/11971-0")
 
 
+def test_iri_that_rdf_forbids_is_a_bad_line():
+    # an ECHAR in an IRI, and characters IRIREF excludes
+    g, errors = parse_ntriples(
+        "<http://e.org/a\\bb> <http://e.org/p> <http://e.org/{x}|^> .\n" + LISTING1_LINE + "\n"
+    )
+    assert [e.line for e in errors] == [1]
+    assert serialize_ntriples(g) == (LISTING1_LINE + "\n").encode("utf-8")
+
+
+def test_str_with_lone_surrogate_is_a_bad_line():
+    g, errors = parse_ntriples('<http://e.org/\ud800> <http://e.org/p> "a\ud800" .\n' + LISTING1_LINE + "\n")
+    assert [e.line for e in errors] == [1]
+    assert serialize_ntriples(g.freeze()) == (LISTING1_LINE + "\n").encode("utf-8")
+
+
 def test_empty_input():
     g, errors = parse_ntriples(b"")
     assert len(g) == 0
@@ -203,14 +218,19 @@ def decoded(chunks):
     return "".join(text for text, _ in chunks), "".join(value for _, value in chunks)
 
 
+# RDF 1.1 IRIREF forbids {}|^` (and space, <>" and the backslash): those
+# are on the invalid side below, raw or as a UCHAR
 iri_chunks = st.lists(
-    st.text("abcXYZ019-._~%!$&'()*+,;=:@/?#{}|^`äß", min_size=1, max_size=4).map(lambda s: (s, s))
+    st.text("abcXYZ019-._~%!$&'()*+,;=:@/?#äß", min_size=1, max_size=4).map(lambda s: (s, s))
     | st.sampled_from(UCHARS),
     max_size=4,
 ).map(decoded)
 valid_iri = iri_chunks.map(lambda c: ("<http://e.org/%s>" % c[0], Iri("http://e.org/" + c[1])))
+IRI_FORBIDDEN = [" ", "{", "}", "|", "^", "`", "\\u007B", "\\u007C", "\\u0060", "\\u005C", "\\u0020", "\\u0008"]
 invalid_iri = st.builds(
-    lambda c, escape: ("<http://e.org/%s%s>" % (c[0], escape), None), iri_chunks, st.sampled_from(BAD_ESCAPES)
+    lambda c, bad: ("<http://e.org/%s%s>" % (c[0], bad), None),
+    iri_chunks,
+    st.sampled_from(BAD_ESCAPES + [text for text, _ in ECHARS] + IRI_FORBIDDEN),
 ) | invalid(
     ["<http://e.org/a b>", "<no-scheme>", "<>", "<http://e.org/a", "<http://e.org/\\u003E>", "<http://e.org/\\n>"]
 )

@@ -17,6 +17,23 @@ def test_iri_rejects_invalid(bad):
         Iri(bad)
 
 
+def accepts(value):
+    try:
+        return Iri(value) is not None
+    except TermError:
+        return False
+
+
+def test_iri_rejects_what_rdf_iriref_forbids():
+    # U+0000-U+0020, <>"{}|^` and the backslash; and lone surrogates
+    forbidden = [chr(i) for i in range(0x21)] + list('<>"{}|^`\\') + ["\ud800", "\udfff"]
+    assert [c for c in forbidden if accepts("http://e.org/a%sb" % c)] == []
+
+
+def test_iri_accepts_other_characters():
+    assert accepts("http://e.org/~!$&'()*+,;=:@/?#%[]\x7fäß\U0001F600")
+
+
 def test_literal_lang_lowercased_and_validated():
     lit = Literal("Migration", lang="DE")
     assert lit.lang == "de"
