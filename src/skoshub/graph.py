@@ -90,9 +90,9 @@ class Graph:
         order, by_s, by_p, by_o = self._index()
         bound = [by.get(term, []) for by, term in ((by_s, s), (by_p, p), (by_o, o)) if term is not None]
         found = min(bound, key=len) if bound else order
-        if len(bound) > 1:
-            found = [t for t in found if (s is None or t.subject == s) and (p is None or t.predicate == p)
-                     and (o is None or t.object == o)]
+        if len(bound) > 1:  # the subject last: its list is the one most often chosen
+            found = [t for t in found if (p is None or t.predicate == p) and (o is None or t.object == o)
+                     and (s is None or t.subject == s)]
         return found if self._frozen else sorted(found, key=Triple.sort_key)
 
     def copy(self) -> "Graph":

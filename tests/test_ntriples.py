@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from conftest import LISTING1_LINE
 from skoshub.graph import Graph
 from skoshub.ntriples import format_triple, load_ntriples, parse_ntriples, serialize_ntriples
-from skoshub.terms import BlankNode, Iri, Literal, Triple
+from skoshub.terms import BlankNode, Iri, Literal, PrefixMap, Triple
+from skoshub.turtle import serialize_turtle
+from turtle_reader import parse_turtle
 
 
 def test_parse_single_mapping_line():
@@ -135,7 +139,12 @@ def test_serialization_is_insertion_order_insensitive():
 
 iri_strategy = st.builds(
     lambda local: Iri("http://example.org/t/" + local),
-    st.text(alphabet="abcdefghij0123456789-._~%!$&'()*+,;=:@/", min_size=1, max_size=12),
+    st.text(
+        st.sampled_from("abcdefghij0123456789-._~%!$&'()*+,;=:@/?#[]\x7f")
+        | st.characters(min_codepoint=0xA0, blacklist_categories=("Cs",)),
+        min_size=1,
+        max_size=12,
+    ),
 )
 lexical_strategy = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=24
@@ -158,15 +167,30 @@ triple_strategy = st.builds(
 )
 graph_strategy = st.builds(Graph, st.lists(triple_strategy, max_size=60))
 
+# The RDF 1.1 N-Triples productions (W3C Recommendation, 2014), written
+# here apart from ntriples.py; BLANK_NODE_LABEL is its ASCII subset.
+_UCHAR = r"\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}"
+_IRIREF = r'<(?:[^\x00-\x20<>"{}|^`\\]|%s)*>' % _UCHAR
+_BLANK_NODE_LABEL = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"
+_STRING_LITERAL_QUOTE = r'"(?:[^"\\\n\r]|\\[tbnrf"\'\\]|%s)*"' % _UCHAR
+_LANGTAG = r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"
+RDF11_TRIPLE_LINE = re.compile(
+    r"(?:{i}|{b})[ \t]*{i}[ \t]*(?:{i}|{b}|{s}(?:\^\^{i}|{l})?)[ \t]*\.".format(
+        i=_IRIREF, b=_BLANK_NODE_LABEL, s=_STRING_LITERAL_QUOTE, l=_LANGTAG
+    )
+)
+
 
 @given(graph_strategy)
 @settings(max_examples=200, deadline=None)
 def test_round_trip_fixpoint(g):
     data = serialize_ntriples(g)
+    assert [line for line in data.decode("utf-8").split("\n")[:-1] if not RDF11_TRIPLE_LINE.fullmatch(line)] == []
     reparsed, errors = parse_ntriples(data)
     assert errors == []
     assert reparsed == g
     assert serialize_ntriples(reparsed) == data
+    assert parse_turtle(serialize_turtle(g, PrefixMap())) == g
 
 
 @given(triple_strategy)
