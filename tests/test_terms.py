@@ -19,10 +19,6 @@ def test_iri_rejects_invalid(bad):
         Iri(bad)
 
 
-def test_iri_accepts_other_characters():
-    assert Iri("http://e.org/~!$&'()*+,;=:@/?#%[]\x7fäß\U0001F600")
-
-
 def test_literal_lang_lowercased_and_validated():
     lit = Literal("Migration", lang="DE")
     assert lit.lang == "de"
