@@ -22,8 +22,6 @@ from .crosswalk import (
     convert_crosswalk,
     edges_to_graph,
 )
-
-from .ldservice import LinkedDataApp, parse_listen, serve
 from .multistore import StoreError, load_manifest
 from .ntriples import format_triple, load_ntriples, serialize_ntriples
 from .skosmodel import (
@@ -118,6 +116,9 @@ def cmd_merge(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    # the HTTP stack loads only here, so the batch commands start without it
+    from .ldservice import LinkedDataApp, parse_listen, serve
+
     try:
         store, config, diags = load_manifest(args.manifest)
         listen = args.listen or os.environ.get("SKOSHUB_LISTEN") or config.listen

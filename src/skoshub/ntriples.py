@@ -69,12 +69,40 @@ def _unescape(raw: str) -> str:
     return _UNESCAPE.sub(_decode, raw) if "\\" in raw else raw
 
 
-def _iri(raw: str) -> Iri:
-    return Iri(_unescape(raw))
+class _Terms:
+    """The terms of one parse, each distinct token built once: an IRI's text
+    between the angle brackets, a blank node label, a literal's raw groups.
+    A token whose term raised is never stored, so each line that holds it
+    fails on its own, and the term classes still check every distinct one."""
+
+    def __init__(self):
+        self.iris, self.bnodes, self.literals = {}, {}, {}
+
+    def iri(self, raw: str) -> Iri:
+        t = self.iris.get(raw)
+        if t is None:
+            t = self.iris[raw] = Iri(_unescape(raw))
+        return t
+
+    def bnode(self, label: str) -> BlankNode:
+        t = self.bnodes.get(label)
+        if t is None:
+            t = self.bnodes[label] = BlankNode(label)
+        return t
+
+    def literal(self, lexical: str, lang: Optional[str], datatype: Optional[str]) -> Literal:
+        token = (lexical, lang, datatype)
+        t = self.literals.get(token)
+        if t is None:
+            t = self.literals[token] = Literal(
+                _unescape(lexical), lang=lang, datatype=None if datatype is None else self.iri(datatype)
+            )
+        return t
 
 
-def parse_line(line: str) -> Optional[Triple]:
-    """Parse one N-Triples line; None for blank/comment lines.
+def parse_line(line: str, terms: _Terms) -> Optional[Triple]:
+    """Parse one N-Triples line with the terms of its parse; None for
+    blank/comment lines.
 
     Raises _LineSyntaxError or TermError; callers use parse_ntriples for
     the recoverable interface.
@@ -86,12 +114,12 @@ def parse_line(line: str) -> Optional[Triple]:
     if p is None:
         return None
     if o is not None:
-        obj = _iri(o)
+        obj = terms.iri(o)
     elif o_bnode is not None:
-        obj = BlankNode(o_bnode)
+        obj = terms.bnode(o_bnode)
     else:
-        obj = Literal(_unescape(lexical), lang=lang, datatype=None if datatype is None else _iri(datatype))
-    return Triple(BlankNode(s_bnode) if s is None else _iri(s), _iri(p), obj)
+        obj = terms.literal(lexical, lang, datatype)
+    return Triple(terms.bnode(s_bnode) if s is None else terms.iri(s), terms.iri(p), obj)
 
 
 def _utf8(line: bytes) -> Optional[str]:
@@ -115,15 +143,17 @@ def utf8_lines(data: Union[bytes, str]) -> list:
 
 
 def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
-    """Parse N-Triples input; every bad line becomes a ParseError record."""
+    """Parse N-Triples input; every bad line becomes a ParseError record.
+    Each distinct term is built once per call (see _Terms)."""
     g = Graph()
     errors: list[ParseError] = []
+    terms = _Terms()
     for lineno, line in enumerate(utf8_lines(data), start=1):
         if line is None:
             errors.append(ParseError(lineno, "line is not valid UTF-8"))
             continue
         try:
-            t = parse_line(line.rstrip("\r"))
+            t = parse_line(line.rstrip("\r"), terms)
         except (_LineSyntaxError, TermError) as e:
             errors.append(ParseError(lineno, str(e)))
             continue

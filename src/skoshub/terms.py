@@ -2,6 +2,7 @@
 
 Terms are immutable value objects. Equality and ordering are defined on
 content only, so graphs built in any insertion order serialize identically.
+Each term computes its hash and canonical sort key once, when it is built.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ class TermError(ValueError):
     """Raised when a term violates its structural invariants."""
 
 
+def _seal(term, key: tuple):
+    """Store a checked term's sort key, and its hash taken from that key:
+    equal terms have equal keys, so equal hashes."""
+    object.__setattr__(term, "_key", key)
+    object.__setattr__(term, "_hash", hash(key))
+
+
 @dataclass(frozen=True, order=True)
 class Iri:
     value: str
@@ -35,12 +43,16 @@ class Iri:
         slash = v.find("/")
         if colon < 1 or (0 <= slash < colon):
             raise TermError("IRI has no scheme component: %r" % v)
+        _seal(self, (0, v.encode("utf-8")))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return self.value
 
     def sort_key(self):
-        return (0, self.value.encode("utf-8"))
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -50,12 +62,16 @@ class BlankNode:
     def __post_init__(self):
         if not _BNODE_RE.match(self.label):
             raise TermError("invalid blank node label: %r" % self.label)
+        _seal(self, (1, self.label.encode("utf-8")))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return "_:" + self.label
 
     def sort_key(self):
-        return (1, self.label.encode("utf-8"))
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -73,6 +89,19 @@ class Literal:
                 object.__setattr__(self, "lang", lowered)
             if not _LANG_RE.match(lowered):
                 raise TermError("invalid language tag: %r" % self.lang)
+        try:
+            lexical = self.lexical.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 output can hold
+            raise TermError("literal contains a lone surrogate: %r" % self.lexical) from None
+        _seal(self, (
+            2,
+            lexical,
+            (self.lang or "").encode("utf-8"),
+            (self.datatype.value if self.datatype else "").encode("utf-8"),
+        ))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         if self.lang:
@@ -82,12 +111,7 @@ class Literal:
         return '"%s"' % self.lexical
 
     def sort_key(self):
-        return (
-            2,
-            self.lexical.encode("utf-8"),
-            (self.lang or "").encode("utf-8"),
-            (self.datatype.value if self.datatype else "").encode("utf-8"),
-        )
+        return self._key
 
 
 Term = Union[Iri, BlankNode, Literal]

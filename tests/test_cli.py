@@ -250,6 +250,11 @@ class TestQuery:
         code, _, err = run(["query", str(FIXTURES / "manifest.json"), flag, term], capsys)
         assert code == 2 and err.startswith("error: ")
 
+    def test_literal_argument_not_utf8_exit_2(self, capsys):
+        # a 0xFF byte in argv reaches Python as the lone surrogate U+DCFF
+        code, _, err = run(["query", str(FIXTURES / "manifest.json"), "--object", '"a\udcff"'], capsys)
+        assert code == 2 and err.startswith("error: ")
+
     def test_manifest_prefix_expansion(self, capsys):
         code, out, _ = run(
             [
@@ -314,6 +319,13 @@ class TestInvocation:
         assert main(["convert", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--nonpreferred" in out
+
+    def test_batch_commands_start_without_the_http_stack(self):
+        # a fresh interpreter: this one has imported ldservice already
+        probe = "import sys, skoshub.cli; print(sorted({'http.server', 'skoshub.ldservice'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 def thesoz_with_line(tmp_path, line):

@@ -1,12 +1,12 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import LISTING1_LINE
 from skoshub.graph import Graph
-from skoshub.ntriples import format_triple, load_ntriples, parse_ntriples, serialize_ntriples
+from skoshub.ntriples import ParseError, format_triple, load_ntriples, parse_ntriples, serialize_ntriples
 from skoshub.terms import BlankNode, Iri, Literal, PrefixMap, Triple
 from skoshub.turtle import serialize_turtle
 from turtle_reader import parse_turtle
@@ -328,3 +328,61 @@ def test_line_parses_exactly_when_every_piece_is_valid(case):
     else:
         assert (set(g), errors) == ({expected}, [])
 
+
+# --- the term dictionary of one parse ------------------------------------------
+# parse_ntriples builds each distinct token once. Sharing terms across lines
+# must not change what any line gives: a bad token fails on every line that
+# holds it, and spellings of one term (an escape, a tag's case) stay equal.
+
+def test_one_term_per_distinct_token():
+    g, errors = parse_ntriples(
+        '<http://e.org/s> <http://e.org/p> "x"@de .\n<http://e.org/s> <http://e.org/q> "x"@de .\n'
+    )
+    a, b = g
+    assert errors == [] and a.subject is b.subject and a.object is b.object
+
+
+SPELLINGS = ["<http://e.org/A>", "<http://e.org/\\u0041>", "<http://e.org/\\U00000041>"]
+TAGGED = ['"x"@DE', '"x"@de', '"x"^^<http://e.org/\\u0041>', '"x"^^<http://e.org/A>']
+
+
+@st.composite
+def shared_token_lines(draw, bad, holds_bad=False):
+    """(line, whether it holds the bad token): a line built from a few
+    tokens that recur across the document."""
+    pieces = [draw(st.sampled_from(SPELLINGS + ["_:b1", bad])), draw(st.sampled_from(SPELLINGS + [bad])),
+              draw(st.sampled_from(SPELLINGS + TAGGED + ["_:b1", bad]))]
+    if holds_bad:
+        pieces[draw(st.integers(0, 2))] = bad
+    return "%s %s %s ." % tuple(pieces), bad in pieces
+
+
+@st.composite
+def documents(draw):
+    """(lines, the 1-based numbers of the lines that hold a bad IRI token
+    repeated across the document)."""
+    bad = draw(invalid_iri)[0]
+    lines = draw(st.lists(triple_lines().map(lambda case: (case[0], False)) | shared_token_lines(bad), max_size=10))
+    lines += draw(st.lists(shared_token_lines(bad, holds_bad=True), min_size=2, max_size=3))
+    lines = draw(st.permutations(lines))
+    return [line for line, _ in lines], [n for n, (_, has_bad) in enumerate(lines, start=1) if has_bad]
+
+
+@given(documents())
+@example((['<http://e.org/A> <http://e.org/A> "x"@DE .', '<http://e.org/\\u0041> <http://e.org/A> "x"@de .',
+           '<http://e.org/a b> <http://e.org/A> <http://e.org/A> .', '<http://e.org/A> <http://e.org/a b> "x"@de .'],
+          [3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_document_parses_as_its_lines_do_alone(case):
+    lines, bad_lines = case
+    g, errors = parse_ntriples("\n".join(lines))
+    alone = [parse_ntriples(line) for line in lines]
+    assert set(g) == {t for one, _ in alone for t in one}
+    assert errors == [ParseError(n, e.message) for n, (_, errs) in enumerate(alone, start=1) for e in errs]
+    assert set(bad_lines) <= {e.line for e in errors}
+    terms = [term for graph in [g] + [one for one, _ in alone] for t in graph
+             for term in (t.subject, t.predicate, t.object)]
+    for a in terms:
+        for b in terms:
+            if a == b:
+                assert (hash(a), a.sort_key()) == (hash(b), b.sort_key())

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skoshub.terms import BlankNode, Iri, Literal, PrefixMap, TermError, Triple
 
@@ -26,6 +28,12 @@ def test_literal_lang_lowercased_and_validated():
         Literal("x", lang="not a tag")
     with pytest.raises(TermError):
         Literal("x", lang="toolonglang")
+
+
+def test_literal_rejects_lone_surrogate():
+    # no UTF-8 output can hold it, as Iri already says
+    with pytest.raises(TermError):
+        Literal("a\ud800")
 
 
 def test_literal_lang_and_datatype_exclusive():
@@ -73,3 +81,41 @@ def test_prefix_map_longest_namespace_wins():
     pm.bind("t", Iri("http://lod.gesis.org/thesoz/"))
     pm.bind("tc", Iri("http://lod.gesis.org/thesoz/concept/"))
     assert pm.compact(Iri("http://lod.gesis.org/thesoz/concept/1"))[0] == "tc"
+
+
+# --- the hash and sort key each term stores when it is built ---------------------
+
+def key_from_scratch(t):
+    """The canonical sort key of a term, computed from its fields as they read now."""
+    if isinstance(t, Iri):
+        return (0, t.value.encode("utf-8"))
+    if isinstance(t, BlankNode):
+        return (1, t.label.encode("utf-8"))
+    return (2, t.lexical.encode("utf-8"), (t.lang or "").encode("utf-8"),
+            (t.datatype.value if t.datatype else "").encode("utf-8"))
+
+
+text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+iri_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs"), blacklist_characters='<>"{}|^`\\'),
+                   max_size=8).map("http://e.org/{}".format)
+lang_tag = st.from_regex(r"[A-Za-z]{2,3}(-[A-Za-z0-9]{1,8})?", fullmatch=True)
+# (build, its arguments): each term is built twice from equal arguments, with
+# the language tag in a different case the second time
+term_recipes = st.one_of(
+    iri_text.map(lambda v: (Iri, (v,), {}, {})),
+    st.from_regex(r"[A-Za-z0-9]{1,8}", fullmatch=True).map(lambda label: (BlankNode, (label,), {}, {})),
+    text.map(lambda lex: (Literal, (lex,), {}, {})),
+    st.tuples(text, lang_tag).map(lambda c: (Literal, (c[0],), {"lang": c[1]}, {"lang": c[1].swapcase()})),
+    st.tuples(text, iri_text).map(lambda c: (Literal, (c[0],), {"datatype": Iri(c[1])}, {"datatype": Iri(c[1])})),
+)
+
+
+@given(term_recipes)
+@example((Literal, ("a",), {"lang": "DE"}, {"lang": "de"}))
+@settings(max_examples=300, deadline=None)
+def test_stored_hash_and_sort_key_match_the_fields(recipe):
+    build, args, kwargs, other_kwargs = recipe
+    a, b = build(*args, **kwargs), build(*args, **other_kwargs)
+    assert a == b
+    assert a.sort_key() == b.sort_key() == key_from_scratch(a) == key_from_scratch(b)
+    assert hash(a) == hash(b) == hash(key_from_scratch(a))
