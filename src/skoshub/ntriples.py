@@ -69,40 +69,20 @@ def _unescape(raw: str) -> str:
     return _UNESCAPE.sub(_decode, raw) if "\\" in raw else raw
 
 
-class _Terms:
-    """The terms of one parse, each distinct token built once: an IRI's text
-    between the angle brackets, a blank node label, a literal's raw groups.
-    A token whose term raised is never stored, so each line that holds it
-    fails on its own, and the term classes still check every distinct one."""
-
-    def __init__(self):
-        self.iris, self.bnodes, self.literals = {}, {}, {}
-
-    def iri(self, raw: str) -> Iri:
-        t = self.iris.get(raw)
-        if t is None:
-            t = self.iris[raw] = Iri(_unescape(raw))
-        return t
-
-    def bnode(self, label: str) -> BlankNode:
-        t = self.bnodes.get(label)
-        if t is None:
-            t = self.bnodes[label] = BlankNode(label)
-        return t
-
-    def literal(self, lexical: str, lang: Optional[str], datatype: Optional[str]) -> Literal:
-        token = (lexical, lang, datatype)
-        t = self.literals.get(token)
-        if t is None:
-            t = self.literals[token] = Literal(
-                _unescape(lexical), lang=lang, datatype=None if datatype is None else self.iri(datatype)
-            )
-        return t
+def _iri(raw: str, iris: dict) -> Iri:
+    """The Iri of raw, the text between the angle brackets, built once per
+    parse: iris maps each text to its term. A text whose Iri raised is never
+    stored, so each line that holds it fails on its own, and Iri still
+    checks every distinct IRI."""
+    t = iris.get(raw)
+    if t is None:
+        t = iris[raw] = Iri(_unescape(raw))
+    return t
 
 
-def parse_line(line: str, terms: _Terms) -> Optional[Triple]:
-    """Parse one N-Triples line with the terms of its parse; None for
-    blank/comment lines.
+def parse_line(line: str, iris: dict) -> Optional[Triple]:
+    """Parse one N-Triples line with the IRIs of its parse (see _iri); None
+    for blank/comment lines.
 
     Raises _LineSyntaxError or TermError; callers use parse_ntriples for
     the recoverable interface.
@@ -114,12 +94,12 @@ def parse_line(line: str, terms: _Terms) -> Optional[Triple]:
     if p is None:
         return None
     if o is not None:
-        obj = terms.iri(o)
+        obj = _iri(o, iris)
     elif o_bnode is not None:
-        obj = terms.bnode(o_bnode)
+        obj = BlankNode(o_bnode)
     else:
-        obj = terms.literal(lexical, lang, datatype)
-    return Triple(terms.bnode(s_bnode) if s is None else terms.iri(s), terms.iri(p), obj)
+        obj = Literal(_unescape(lexical), lang=lang, datatype=None if datatype is None else _iri(datatype, iris))
+    return Triple(BlankNode(s_bnode) if s is None else _iri(s, iris), _iri(p, iris), obj)
 
 
 def _utf8(line: bytes) -> Optional[str]:
@@ -144,16 +124,16 @@ def utf8_lines(data: Union[bytes, str]) -> list:
 
 def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
     """Parse N-Triples input; every bad line becomes a ParseError record.
-    Each distinct term is built once per call (see _Terms)."""
+    Each distinct IRI is built once per call (see _iri)."""
     g = Graph()
     errors: list[ParseError] = []
-    terms = _Terms()
+    iris: dict[str, Iri] = {}
     for lineno, line in enumerate(utf8_lines(data), start=1):
         if line is None:
             errors.append(ParseError(lineno, "line is not valid UTF-8"))
             continue
         try:
-            t = parse_line(line.rstrip("\r"), terms)
+            t = parse_line(line.rstrip("\r"), iris)
         except (_LineSyntaxError, TermError) as e:
             errors.append(ParseError(lineno, str(e)))
             continue

@@ -22,7 +22,7 @@ class TermError(ValueError):
     """Raised when a term violates its structural invariants."""
 
 
-def _seal(term, key: tuple):
+def _store_key(term, key: tuple):
     """Store a checked term's sort key, and its hash taken from that key:
     equal terms have equal keys, so equal hashes."""
     object.__setattr__(term, "_key", key)
@@ -43,7 +43,7 @@ class Iri:
         slash = v.find("/")
         if colon < 1 or (0 <= slash < colon):
             raise TermError("IRI has no scheme component: %r" % v)
-        _seal(self, (0, v.encode("utf-8")))
+        _store_key(self, (0, v.encode("utf-8")))
 
     def __hash__(self):
         return self._hash
@@ -62,7 +62,7 @@ class BlankNode:
     def __post_init__(self):
         if not _BNODE_RE.match(self.label):
             raise TermError("invalid blank node label: %r" % self.label)
-        _seal(self, (1, self.label.encode("utf-8")))
+        _store_key(self, (1, self.label.encode("utf-8")))
 
     def __hash__(self):
         return self._hash
@@ -93,7 +93,7 @@ class Literal:
             lexical = self.lexical.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 output can hold
             raise TermError("literal contains a lone surrogate: %r" % self.lexical) from None
-        _seal(self, (
+        _store_key(self, (
             2,
             lexical,
             (self.lang or "").encode("utf-8"),

@@ -329,17 +329,18 @@ def test_line_parses_exactly_when_every_piece_is_valid(case):
         assert (set(g), errors) == ({expected}, [])
 
 
-# --- the term dictionary of one parse ------------------------------------------
-# parse_ntriples builds each distinct token once. Sharing terms across lines
+# --- the IRI dictionary of one parse -------------------------------------------
+# parse_ntriples builds each distinct IRI text once. Sharing terms across lines
 # must not change what any line gives: a bad token fails on every line that
 # holds it, and spellings of one term (an escape, a tag's case) stay equal.
 
-def test_one_term_per_distinct_token():
+def test_one_term_per_distinct_iri():
     g, errors = parse_ntriples(
-        '<http://e.org/s> <http://e.org/p> "x"@de .\n<http://e.org/s> <http://e.org/q> "x"@de .\n'
+        '<http://e.org/s> <http://e.org/p> <http://e.org/o> .\n'
+        '<http://e.org/s> <http://e.org/q> "1"^^<http://e.org/o> .\n'
     )
-    a, b = g
-    assert errors == [] and a.subject is b.subject and a.object is b.object
+    a, b = sorted(g, key=Triple.sort_key)
+    assert errors == [] and a.subject is b.subject and a.object is b.object.datatype
 
 
 SPELLINGS = ["<http://e.org/A>", "<http://e.org/\\u0041>", "<http://e.org/\\U00000041>"]
