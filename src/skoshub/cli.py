@@ -23,7 +23,7 @@ from .crosswalk import (
     edges_to_graph,
 )
 from .multistore import StoreError, load_manifest
-from .ntriples import format_triple, load_ntriples, serialize_ntriples
+from .ntriples import format_triple, load_ntriples, parse_pattern, serialize_ntriples
 from .skosmodel import (
     Severity,
     diagnostics_json,
@@ -31,7 +31,7 @@ from .skosmodel import (
     resolve_xl_labels,
     validate_skos,
 )
-from .terms import Iri, TermError, parse_pattern
+from .terms import Iri, TermError
 
 EXIT_OK = 0
 EXIT_DIAGNOSTIC_ERRORS = 1
@@ -215,7 +215,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on bad invocation, matching our contract
         return int(e.code or 0)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before all output was written", file=sys.stderr)
+        return EXIT_FAILURE
+    return code
 
 
 if __name__ == "__main__":

@@ -350,17 +350,7 @@ def convert_entry(
     if src is None or any(t is None for t in tgts):
         return [], diags
 
-    if len(tgts) == 2:
-        if entry.relation is not RelationCode.EQUIVALENT:
-            diags.append(
-                make_diagnostic(
-                    "XWALK_BAD_COMBINATION",
-                    subject=src,
-                    message="combination mapping requires relation '='",
-                    source_location=loc,
-                )
-            )
-            return [], diags
+    if len(tgts) == 2:  # parse_crosswalk admits only '=' for two targets
         if tgts[0] == tgts[1]:
             diags.append(
                 make_diagnostic(
@@ -416,26 +406,17 @@ def _combo_base(ext_namespace: str) -> str:
     return ext_namespace.rstrip("#/") + "/combination/"
 
 
-def convert_combination(source: Iri, members, ext_namespace: str, provenance=None):
-    """Triples for one combination mapping; returns (triples, diagnostics)."""
-    members = list(members)
-    if len(members) != 2 or members[0] == members[1]:
-        return [], [
-            make_diagnostic(
-                "XWALK_BAD_COMBINATION",
-                subject=source,
-                message="combination requires exactly 2 distinct members",
-                source_location=provenance,
-            )
-        ]
+def convert_combination(source: Iri, members, ext_namespace: str) -> list:
+    """The four triples of one combination mapping; its two distinct
+    members are checked by convert_entry."""
+    first, second = members
     node = combination_node_iri(source, members, ext_namespace)
-    triples = [
+    return [
         Triple(source, ns.ext_matches_combination(ext_namespace), node),
         Triple(node, ns.RDF_TYPE, ns.ext_concept_combination(ext_namespace)),
-        Triple(node, ns.ext_member(ext_namespace), members[0]),
-        Triple(node, ns.ext_member(ext_namespace), members[1]),
+        Triple(node, ns.ext_member(ext_namespace), first),
+        Triple(node, ns.ext_member(ext_namespace), second),
     ]
-    return triples, []
 
 
 def generate_inverses(edges):
@@ -473,8 +454,7 @@ def edges_to_graph(edges, ext_namespace: str = ns.DEFAULT_EXT_NS) -> Graph:
     g = Graph()
     for e in edges:
         if e.is_combination:
-            triples, _ = convert_combination(e.source, e.targets, ext_namespace, e.provenance)
-            g.update(triples)
+            g.update(convert_combination(e.source, e.targets, ext_namespace))
         else:
             g.insert(Triple(e.source, e.property, e.targets[0]))
     return g

@@ -21,9 +21,9 @@ from urllib.parse import parse_qs, quote, unquote, urlsplit
 from . import namespaces as ns
 from .graph import Graph
 from .multistore import MultiStore, ServiceConfig
-from .ntriples import format_triple, serialize_ntriples
+from .ntriples import format_triple, parse_pattern, serialize_ntriples
 from .skosmodel import extract_concept, skos_index
-from .terms import Iri, Literal, TermError, Triple, parse_pattern
+from .terms import Iri, Literal, TermError, Triple
 from .turtle import serialize_turtle
 
 log = logging.getLogger("skoshub.ldservice")

@@ -7,10 +7,13 @@ The writer emits one triple per line in canonical order (subject,
 predicate, object; literals after IRIs; raw UTF-8 byte comparison), so
 output is a pure function of graph content.
 
-The line grammar is one regular expression, `_LINE`: blanks, an optional
-triple, blanks, an optional comment. Escapes are checked inside the IRI
-and literal groups; the term constructors check the rest (IRI scheme and
-characters, blank node label, language tag).
+This is the one module that knows RDF term syntax. The line grammar is
+one regular expression, `_LINE`: blanks, an optional triple, blanks, an
+optional comment. Its object alternative, `_TERM`, is also the grammar of
+a query's `<IRI>` and quoted-literal tokens (`parse_term`), so a term that
+`format_term` writes reads back as the same term. Escapes are checked
+inside the IRI and literal groups; the term constructors check the rest
+(IRI scheme and characters, blank node label, language tag).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .graph import Graph
 from .skosmodel import make_diagnostic
-from .terms import BlankNode, Iri, Literal, Term, TermError, Triple
+from .terms import BlankNode, Iri, Literal, PrefixMap, Term, TermError, Triple
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,16 @@ class _LineSyntaxError(ValueError):
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _ESCAPE = r"""(?:\\[tbnrf"'\\]|%s)""" % _UCHAR
 _IRI = r"<([^>\\]*(?:%s[^>\\]*)*)>" % _UCHAR
+# an object term: IRI, blank node, or literal with an optional @lang or ^^<datatype>
+_TERM = r"""(?:{iri}|_:(\w+)|"([^"\\]*(?:{esc}[^"\\]*)*)"(?:@([\w-]+)|\^\^{iri})?)""".format(iri=_IRI, esc=_ESCAPE)
 _LINE = re.compile(
     r"""[ \t]*(?:
-        (?:{iri}|_:(\w+)) [ \t]* {iri} [ \t]*
-        (?:{iri}|_:(\w+)|"([^"\\]*(?:{esc}[^"\\]*)*)"(?:@([\w-]+)|\^\^{iri})?)
+        (?:{iri}|_:(\w+)) [ \t]* {iri} [ \t]* {term}
         [ \t]*\.[ \t]*
-    )?(?:\#.*)?""".format(iri=_IRI, esc=_ESCAPE),
+    )?(?:\#.*)?""".format(iri=_IRI, term=_TERM),
     re.S | re.X,
 )
+_TERM_TOKEN = re.compile(_TERM)
 _UNESCAPE = re.compile(_ESCAPE)
 _ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
@@ -61,7 +66,7 @@ def _decode(m) -> str:
         return _ECHARS[e[1]]
     cp = int(e[2:], 16)
     if 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF:
-        raise _LineSyntaxError("escape %s is no Unicode scalar value" % e)
+        raise TermError("escape %s is no Unicode scalar value" % e)
     return chr(cp)
 
 
@@ -80,6 +85,15 @@ def _iri(raw: str, iris: dict) -> Iri:
     return t
 
 
+def _term(iri, bnode, lexical, lang, datatype, iris: dict) -> Term:
+    """The term of one match of _TERM's groups, with the IRIs of its parse."""
+    if iri is not None:
+        return _iri(iri, iris)
+    if bnode is not None:
+        return BlankNode(bnode)
+    return Literal(_unescape(lexical), lang=lang, datatype=None if datatype is None else _iri(datatype, iris))
+
+
 def parse_line(line: str, iris: dict) -> Optional[Triple]:
     """Parse one N-Triples line with the IRIs of its parse (see _iri); None
     for blank/comment lines.
@@ -93,13 +107,39 @@ def parse_line(line: str, iris: dict) -> Optional[Triple]:
     s, s_bnode, p, o, o_bnode, lexical, lang, datatype = m.groups()
     if p is None:
         return None
-    if o is not None:
-        obj = _iri(o, iris)
-    elif o_bnode is not None:
-        obj = BlankNode(o_bnode)
-    else:
-        obj = Literal(_unescape(lexical), lang=lang, datatype=None if datatype is None else _iri(datatype, iris))
+    obj = _term(o, o_bnode, lexical, lang, datatype, iris)
     return Triple(BlankNode(s_bnode) if s is None else _iri(s, iris), _iri(p, iris), obj)
+
+
+def parse_term(token: str, prefixes: PrefixMap) -> Term:
+    """One query term token: an N-Triples `<IRI>` or literal, escapes
+    included, exactly as format_term writes it; else a CURIE whose prefix
+    is bound, or else a bare IRI.
+
+    Raises TermError when the token is not a valid term.
+    """
+    token = token.strip()
+    if token.startswith(("<", '"')):
+        m = _TERM_TOKEN.fullmatch(token)
+        if m is None:
+            raise TermError("malformed term: %r" % token)
+        return _term(*m.groups(), {})
+    return prefixes.expand(token) or Iri(token)
+
+
+def parse_pattern(s, p, o, prefixes: PrefixMap) -> tuple:
+    """Terms of a single triple pattern from subject, predicate and object
+    tokens; a missing or empty token leaves its position unbound.
+
+    Raises TermError on a malformed token, a predicate that is not an IRI,
+    or a literal subject.
+    """
+    s, p, o = (parse_term(tok, prefixes) if tok else None for tok in (s, p, o))
+    if p is not None and not isinstance(p, Iri):
+        raise TermError("predicate must be an IRI")
+    if isinstance(s, Literal):
+        raise TermError("subject cannot be a literal")
+    return s, p, o
 
 
 def _utf8(line: bytes) -> Optional[str]:

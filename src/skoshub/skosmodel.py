@@ -61,7 +61,7 @@ DIAGNOSTIC_REGISTRY = {
     "XWALK_AMBIGUOUS": (Severity.ERROR, "term matches multiple concepts"),
     "XWALK_AMBIGUOUS_RESOLVED": (Severity.WARNING, "ambiguous term resolved to first concept by sorted IRI"),
     "XWALK_UNRESOLVED": (Severity.ERROR, "term matches no label in the scheme"),
-    "XWALK_BAD_COMBINATION": (Severity.ERROR, "invalid combination mapping (relation or duplicate members)"),
+    "XWALK_BAD_COMBINATION": (Severity.ERROR, "two target terms resolve to one concept"),
     "XWALK_NO_INVERSE": (Severity.INFO, "combination mapping has no inverse form"),
     "XWALK_SAME_SCHEME": (Severity.ERROR, "crosswalk declares the same scheme on both sides"),
 }

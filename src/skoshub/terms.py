@@ -103,13 +103,6 @@ class Literal:
     def __hash__(self):
         return self._hash
 
-    def __str__(self):
-        if self.lang:
-            return '"%s"@%s' % (self.lexical, self.lang)
-        if self.datatype:
-            return '"%s"^^<%s>' % (self.lexical, self.datatype.value)
-        return '"%s"' % self.lexical
-
     def sort_key(self):
         return self._key
 
@@ -175,38 +168,3 @@ class PrefixMap:
     def __iter__(self):
         return iter(self.entries)
 
-
-_LITERAL_TOKEN = re.compile(r'"(.*)"(?:@([A-Za-z0-9-]+)|\^\^<([^>]+)>)?', re.S)
-
-
-def parse_term(token: str, prefixes: PrefixMap) -> Term:
-    """One term token: `<IRI>`, a quoted literal with an optional `@lang` or
-    `^^<datatype>`, a CURIE whose prefix is bound, or else a bare IRI.
-
-    Raises TermError when the token is not a valid term.
-    """
-    token = token.strip()
-    if token.startswith("<") and token.endswith(">"):
-        return Iri(token[1:-1])
-    if token.startswith('"'):
-        m = _LITERAL_TOKEN.fullmatch(token)
-        if not m:
-            raise TermError("malformed literal: %r" % token)
-        lex, lang, dt = m.groups()
-        return Literal(lex, lang=lang, datatype=Iri(dt) if dt else None)
-    return prefixes.expand(token) or Iri(token)
-
-
-def parse_pattern(s, p, o, prefixes: PrefixMap) -> tuple:
-    """Terms of a single triple pattern from subject, predicate and object
-    tokens; a missing or empty token leaves its position unbound.
-
-    Raises TermError on a malformed token, a predicate that is not an IRI,
-    or a literal subject.
-    """
-    s, p, o = (parse_term(tok, prefixes) if tok else None for tok in (s, p, o))
-    if p is not None and not isinstance(p, Iri):
-        raise TermError("predicate must be an IRI")
-    if isinstance(s, Literal):
-        raise TermError("subject cannot be a literal")
-    return s, p, o

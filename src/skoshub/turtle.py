@@ -13,8 +13,8 @@ from itertools import groupby
 
 from .graph import Graph
 from .namespaces import RDF_TYPE
-from .terms import Iri, PrefixMap, Term
-from .ntriples import _escape
+from .ntriples import format_term
+from .terms import Iri, Literal, PrefixMap, Term
 
 # Conservative PN_LOCAL: avoids the Turtle grammar's trickier corners
 # (percent escapes, leading digits with dots, etc.)
@@ -35,14 +35,11 @@ def _compact(iri: Iri, prefixes: PrefixMap, used: set) -> str:
 def _term(t: Term, prefixes: PrefixMap, used: set) -> str:
     if isinstance(t, Iri):
         return _compact(t, prefixes, used)
-    if hasattr(t, "label"):
-        return "_:%s" % t.label
-    lex = _escape(t.lexical)
-    if t.lang:
-        return '"%s"@%s' % (lex, t.lang)
-    if t.datatype:
-        return '"%s"^^%s' % (lex, _compact(t.datatype, prefixes, used))
-    return '"%s"' % lex
+    if isinstance(t, Literal) and t.datatype:
+        # format_term ends a typed literal with <datatype>; write that IRI compacted
+        text = format_term(t)
+        return text[: len(text) - len(t.datatype.value) - 2] + _compact(t.datatype, prefixes, used)
+    return format_term(t)
 
 
 def serialize_turtle(g: Graph, prefixes: PrefixMap) -> bytes:

@@ -17,6 +17,7 @@ from skoshub.cli import main
 from skoshub.ldservice import LinkedDataApp
 from skoshub.multistore import MultiStore, load_manifest
 from skoshub.ntriples import format_triple, parse_ntriples, serialize_ntriples
+from skoshub.terms import Iri, Literal, Triple
 
 from conftest import FIXTURES, LISTING1_LINE, SKOS, STW_CONCEPT, THESOZ_CONCEPT, fixture_manifest_json
 
@@ -430,6 +431,8 @@ term_token = st.one_of(
     st.sampled_from(IRIS).map("<{}>".format),
     st.sampled_from(IRIS),
     st.sampled_from(["skos:exactMatch", "rdf:type", "thesoz:concept/10039068", "stw:descriptor/11971-0", "nope:x"]),
+    # N-Triples escapes: decoded, or a TermError for no Unicode scalar value or a forbidden IRI character
+    st.sampled_from(['"a\\"b"@de', '"\\u00e4"', '"\\uD800"', "<http://x.org/\\u00e4>", "<http://x.org/\\u0020>"]),
     st.builds(
         '"{}"{}'.format,
         st.sampled_from(["Informationswissenschaft", "Arbeit", 'a"b', ""]),
@@ -458,3 +461,51 @@ def test_query_cli_and_endpoint_parse_terms_alike(fixture_store, pattern):
     else:
         assert (resp.status, code) == (200, 0)
         assert out.getvalue() == resp.body.decode("utf-8")
+
+
+ESCAPED_OBJECTS = [
+    Literal('Stadt "Nord"', lang="de"),
+    Literal("a\\b"),
+    Literal("zwei\nZeilen", lang="de"),
+    Literal("a\tb", datatype=Iri("http://www.w3.org/2001/XMLSchema#string")),
+    Literal("\x01"),
+    Iri("http://x.org/\u00e4"),
+]
+
+
+def test_printed_object_reads_back_as_its_own_pattern(tmp_path, capsys):
+    subject = Iri("http://lod.gesis.org/thesoz/concept/escapes")
+    lines = [format_triple(Triple(subject, Iri(SKOS + "note"), o)) for o in ESCAPED_OBJECTS]
+    _, manifest_path = thesoz_with_line(tmp_path, "\n".join(lines))
+    store, config, _ = load_manifest(manifest_path)
+    app = LinkedDataApp(store, config)
+    s = "<%s>" % subject.value
+    code, out, _ = run(["query", str(manifest_path), "-s", s], capsys)
+    assert (code, out) == (0, app.handle("GET", "/query?s=" + quote(s, safe="")).body.decode("utf-8"))
+    assert sorted(out.splitlines()) == sorted(lines)
+    for line in lines:
+        o = line.split(" ", 2)[2][: -len(" .")]
+        code, out, _ = run(["query", str(manifest_path), "-s", s, "-o", o], capsys)
+        assert (code, out) == (0, line + "\n")
+        resp = app.handle("GET", "/query?s=%s&o=%s" % (quote(s, safe=""), quote(o, safe="")))
+        assert (resp.status, resp.body.decode("utf-8")) == (200, line + "\n")
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    # the read end is closed before the command starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skoshub.cli", "query", str(FIXTURES / "manifest.json")],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdin=subprocess.DEVNULL,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

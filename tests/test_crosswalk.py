@@ -219,9 +219,8 @@ class TestCombinationMinting:
     C = Iri("http://e.org/c:c")
 
     def test_four_triples_deterministic(self):
-        t1, d1 = convert_combination(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
-        t2, d2 = convert_combination(self.A, [self.C, self.B], ns.DEFAULT_EXT_NS)
-        assert d1 == d2 == []
+        t1 = convert_combination(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
+        t2 = convert_combination(self.A, [self.C, self.B], ns.DEFAULT_EXT_NS)
         assert len(t1) == 4
         assert set(t1) == set(t2)  # member order does not matter
         node = combination_node_iri(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
@@ -237,14 +236,9 @@ class TestCombinationMinting:
         node = combination_node_iri(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
         assert node.value.endswith("%016x" % h)
 
-    def test_identical_members_rejected(self):
-        triples, diags = convert_combination(self.A, [self.B, self.B], ns.DEFAULT_EXT_NS)
-        assert triples == []
-        assert [d.code for d in diags] == ["XWALK_BAD_COMBINATION"]
-
     def test_same_inputs_reuse_node_under_set_semantics(self):
-        t1, _ = convert_combination(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
-        t2, _ = convert_combination(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
+        t1 = convert_combination(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
+        t2 = convert_combination(self.A, [self.B, self.C], ns.DEFAULT_EXT_NS)
         merged = set(t1) | set(t2)
         assert len(merged) == 4
 

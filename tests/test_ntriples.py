@@ -6,8 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import LISTING1_LINE
 from skoshub.graph import Graph
-from skoshub.ntriples import ParseError, format_triple, load_ntriples, parse_ntriples, serialize_ntriples
-from skoshub.terms import BlankNode, Iri, Literal, PrefixMap, Triple
+from skoshub.ntriples import (
+    ParseError,
+    format_term,
+    format_triple,
+    load_ntriples,
+    parse_ntriples,
+    parse_term,
+    serialize_ntriples,
+)
+from skoshub.terms import BlankNode, Iri, Literal, PrefixMap, TermError, Triple
 from skoshub.turtle import serialize_turtle
 from turtle_reader import parse_turtle
 
@@ -387,3 +395,34 @@ def test_document_parses_as_its_lines_do_alone(case):
         for b in terms:
             if a == b:
                 assert (hash(a), a.sort_key()) == (hash(b), b.sort_key())
+
+
+# --- query term tokens --------------------------------------------------------
+
+# lexical forms rich in what the writer escapes: quote, backslash and controls
+escaped_lexical = st.text(
+    st.sampled_from('"\\\n\t\r\x00\x08\x1f') | st.characters(blacklist_categories=("Cs",)), max_size=12
+)
+token_term = st.one_of(
+    iri_strategy,
+    st.builds(Literal, escaped_lexical),
+    st.builds(Literal, escaped_lexical, lang=st.sampled_from(["de", "en", "pt-br"])),
+    st.builds(Literal, escaped_lexical, datatype=iri_strategy),
+)
+
+
+@given(token_term)
+@settings(max_examples=300, deadline=None)
+def test_query_token_of_a_written_term_reads_back_as_that_term(t):
+    assert parse_term(format_term(t), PrefixMap()) == t
+
+
+@given(st.one_of(valid_iri, valid_literal, invalid_iri, invalid_literal))
+@settings(max_examples=300, deadline=None)
+def test_query_token_reads_as_the_object_of_a_line(piece):
+    text, term = piece
+    if term is None:
+        with pytest.raises(TermError):
+            parse_term(text, PrefixMap())
+    else:
+        assert parse_term(text, PrefixMap()) == term
