@@ -142,7 +142,7 @@ def build_scheme_view(graph: Graph, scheme: Optional[Iri] = None) -> SchemeView:
     else:
         matches = [s for s in schemes if s.iri == scheme]
         if not matches:
-            raise ValueError("scheme %s not found in graph" % scheme)
+            raise ValueError("scheme %s not found in graph" % (scheme,))
         target = matches[0]
     return SchemeView(graph, target.iri, target.concepts)
 
@@ -154,9 +154,9 @@ def resolve_term(view: SchemeView, term: str, lang: str):
     if len(pref) == 1:
         return Preferred(next(iter(pref)))
     if len(pref) > 1:
-        return Ambiguous(tuple(sorted(pref, key=lambda i: i.value)))
+        return Ambiguous(tuple(sorted(pref)))
     nonpref = view._nonpref.get(key, set())
-    concepts = sorted({c for c, _ in nonpref}, key=lambda i: i.value)
+    concepts = sorted({c for c, _ in nonpref})
     if len(concepts) == 1:
         kinds = sorted(kind for c, kind in nonpref)
         return NonPreferred(concepts[0], kinds[0])
@@ -356,7 +356,7 @@ def convert_entry(
                 make_diagnostic(
                     "XWALK_BAD_COMBINATION",
                     subject=src,
-                    message="combination members are identical: %s" % tgts[0],
+                    message="combination members are identical: %s" % (tgts[0],),
                     source_location=loc,
                 )
             )
@@ -364,7 +364,7 @@ def convert_entry(
         edge = MappingEdge(
             source=src,
             property=ns.ext_matches_combination(ext_namespace),
-            targets=tuple(sorted(tgts, key=lambda i: i.value)),
+            targets=tuple(sorted(tgts)),
             provenance=loc,
         )
     else:
@@ -379,7 +379,7 @@ def convert_entry(
             make_diagnostic(
                 "XWALK_OK",
                 subject=src,
-                message="converted to %s" % edge.property,
+                message="converted to %s" % (edge.property,),
                 source_location=loc,
             )
         )

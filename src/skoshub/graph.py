@@ -22,20 +22,19 @@ class SealedGraphError(RuntimeError):
 
 class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
+        self._triples: set[Triple] = set(triples)  # a set's copy reuses its stored hashes
         self._view = None  # (triples, by subject, by predicate, by object)
         self._frozen = False
         self.memo = None  # derived view owned by skosmodel.skos_index
-        for t in triples:
-            self.insert(t)
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; return True iff it was not already present."""
         if self._frozen:
             raise SealedGraphError("graph is sealed")
-        if t in self._triples:
-            return False
+        n = len(self._triples)
         self._triples.add(t)
+        if len(self._triples) == n:
+            return False
         self._view = self.memo = None
         return True
 

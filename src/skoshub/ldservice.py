@@ -296,7 +296,7 @@ class LinkedDataApp:
             ):
                 if iris:
                     links = ", ".join(
-                        self._link(i, d.neighbor_labels.get(i)) for i in sorted(iris, key=lambda x: x.value)
+                        self._link(i, d.neighbor_labels.get(i)) for i in sorted(iris)
                     )
                     parts.append("<p>%s: %s</p>" % (heading, links))
         parts.append("<h2>Mappings</h2>")

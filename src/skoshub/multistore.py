@@ -18,7 +18,7 @@ from . import namespaces as ns
 from .graph import Graph
 from .ntriples import load_ntriples
 from .skosmodel import Diagnostic, best_label, make_diagnostic
-from .terms import Iri, Literal, PrefixMap, TermError, Triple
+from .terms import Iri, Literal, PrefixMap, TermError
 
 
 class StoreError(ValueError):
@@ -30,7 +30,7 @@ def match_union(graphs, s=None, p=None, o=None):
     each once: every Graph.match is already sorted, so a merge of the sorted
     lists puts equal triples next to each other."""
     last = None
-    for t in heapq.merge(*(g.match(s, p, o) for g in graphs), key=Triple.sort_key):
+    for t in heapq.merge(*(g.match(s, p, o) for g in graphs)):
         if t != last:
             yield t
             last = t
@@ -98,7 +98,7 @@ class MultiStore:
                     make_diagnostic(
                         "MAPPING_GRAPH_FOREIGN_TRIPLE",
                         subject=t.subject,
-                        message="predicate %s does not belong in a mapping graph" % t.predicate,
+                        message="predicate %s does not belong in a mapping graph" % (t.predicate,),
                     )
                 )
             if t.predicate not in ns.MAPPING_PROPERTIES:
@@ -109,7 +109,7 @@ class MultiStore:
                         make_diagnostic(
                             "DANGLING_MAPPING_TARGET",
                             subject=endpoint,
-                            message="%s is under no registered base IRI" % endpoint,
+                            message="%s is under no registered base IRI" % (endpoint,),
                         )
                     )
         self.mapping_graphs.append((id, g))
@@ -171,7 +171,7 @@ class MultiStore:
                 for ct in match_union(graphs, p=combo_prop, o=t.subject):
                     if isinstance(ct.subject, Iri):
                         refs.append(MappingRef("inbound", combo_prop, ct.subject, members))
-        refs.sort(key=lambda r: (r.direction, r.property.value, r.other.value))
+        refs.sort(key=lambda r: (r.direction, r.property, r.other))
         return refs
 
     def export_merged(self) -> Graph:

@@ -40,14 +40,14 @@ class _LineSyntaxError(ValueError):
 
 # UCHAR in IRIs, ECHAR or UCHAR in literals; unrolled loops
 # `[^"\\]*(?:ESCAPE[^"\\]*)*` keep the regex engine off a per-character
-# alternation. Blank node labels and language tags are `\w` runs; BlankNode
-# and Literal reject any that is not ASCII letters and digits (and '-' in a
-# tag).
+# alternation. A literal holds no raw CR or LF (STRING_LITERAL_QUOTE).
+# Blank node labels and language tags are `\w` runs; BlankNode and Literal
+# reject any that is not ASCII letters and digits (and '-' in a tag).
 _UCHAR = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _ESCAPE = r"""(?:\\[tbnrf"'\\]|%s)""" % _UCHAR
 _IRI = r"<([^>\\]*(?:%s[^>\\]*)*)>" % _UCHAR
 # an object term: IRI, blank node, or literal with an optional @lang or ^^<datatype>
-_TERM = r"""(?:{iri}|_:(\w+)|"([^"\\]*(?:{esc}[^"\\]*)*)"(?:@([\w-]+)|\^\^{iri})?)""".format(iri=_IRI, esc=_ESCAPE)
+_TERM = r"""(?:{iri}|_:(\w+)|"([^"\\\r\n]*(?:{esc}[^"\\\r\n]*)*)"(?:@([\w-]+)|\^\^{iri})?)""".format(iri=_IRI, esc=_ESCAPE)
 _LINE = re.compile(
     r"""[ \t]*(?:
         (?:{iri}|_:(\w+)) [ \t]* {iri} [ \t]* {term}
@@ -108,18 +108,20 @@ def parse_line(line: str, iris: dict) -> Optional[Triple]:
     if p is None:
         return None
     obj = _term(o, o_bnode, lexical, lang, datatype, iris)
-    return Triple(BlankNode(s_bnode) if s is None else _iri(s, iris), _iri(p, iris), obj)
+    # built as the bare tuple: _LINE admits only an IRI or blank node subject
+    # and an IRI predicate, the checks Triple() would repeat
+    return tuple.__new__(Triple, (BlankNode(s_bnode) if s is None else _iri(s, iris), _iri(p, iris), obj))
 
 
 def parse_term(token: str, prefixes: PrefixMap) -> Term:
-    """One query term token: an N-Triples `<IRI>` or literal, escapes
-    included, exactly as format_term writes it; else a CURIE whose prefix
-    is bound, or else a bare IRI.
+    """One query term token: an N-Triples `<IRI>`, blank node or literal,
+    escapes included, exactly as format_term writes it; else a CURIE whose
+    prefix is bound, or else a bare IRI.
 
     Raises TermError when the token is not a valid term.
     """
     token = token.strip()
-    if token.startswith(("<", '"')):
+    if token.startswith(("<", '"', "_:")):
         m = _TERM_TOKEN.fullmatch(token)
         if m is None:
             raise TermError("malformed term: %r" % token)
@@ -165,7 +167,7 @@ def utf8_lines(data: Union[bytes, str]) -> list:
 def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
     """Parse N-Triples input; every bad line becomes a ParseError record.
     Each distinct IRI is built once per call (see _iri)."""
-    g = Graph()
+    triples = set()
     errors: list[ParseError] = []
     iris: dict[str, Iri] = {}
     for lineno, line in enumerate(utf8_lines(data), start=1):
@@ -178,8 +180,8 @@ def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
             errors.append(ParseError(lineno, str(e)))
             continue
         if t is not None:
-            g.insert(t)
-    return g, errors
+            triples.add(t)
+    return Graph(triples), errors
 
 
 def load_ntriples(path) -> Tuple[Graph, list]:
@@ -225,7 +227,15 @@ def serialize_ntriples(g: Iterable[Triple]) -> bytes:
     """N-Triples, one triple per line, each line ending in a newline. Canonical
     when g is a Graph or any other triples already in canonical order, such as
     Graph.match or MultiStore.match."""
-    lines = [format_triple(t) for t in g]
+    texts = {}  # each distinct term is formatted once per call: most IRIs recur
+
+    def text(t):
+        s = texts.get(t)
+        if s is None:
+            s = texts[t] = format_term(t)
+        return s
+
+    lines = ["%s %s %s ." % (text(s), text(p), text(o)) for s, p, o in g]
     if not lines:
         return b""
     return ("\n".join(lines) + "\n").encode("utf-8")

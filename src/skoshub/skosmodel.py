@@ -146,7 +146,7 @@ class SkosIndex:
                         members.setdefault(t.object, set()).add(t.subject)
                     else:
                         members.setdefault(t.subject, set()).add(t.object)
-        self.schemes = {c: tuple(sorted(s, key=lambda i: i.value)) for c, s in members.items()}
+        self.schemes = {c: tuple(sorted(s)) for c, s in members.items()}
         self.concepts = frozenset(
             t.subject for t in g.match(p=ns.RDF_TYPE, o=ns.SKOS_CONCEPT) if isinstance(t.subject, Iri)
         )
@@ -182,7 +182,7 @@ def extract_schemes(g: Graph):
                 schemes[s_iri].concepts.add(concept)
     diags = [
         make_diagnostic("ORPHAN_CONCEPT", subject=c, message="concept has no scheme membership")
-        for c in sorted(index.concepts, key=lambda i: i.value)
+        for c in sorted(index.concepts)
         if c not in index.schemes
     ]
     return sorted(schemes.values(), key=lambda s: s.iri.value), diags
@@ -215,7 +215,7 @@ def resolve_xl_labels(g: Graph):
                     make_diagnostic(
                         "XL_NO_LITERAL_FORM",
                         subject=t.object,
-                        message="label resource of %s has no literalForm" % t.subject,
+                        message="label resource of %s has no literalForm" % (t.subject,),
                     )
                 )
                 continue
@@ -272,7 +272,7 @@ def validate_skos(g: Graph, external_graphs=()) -> list:
             if isinstance(t.subject, Iri) and isinstance(t.object, Literal):
                 label_triples.setdefault(t.subject, []).append(t)
 
-    for subject in sorted(label_triples, key=lambda i: i.value):
+    for subject in sorted(label_triples):
         prefs: dict[str, list[Literal]] = {}
         nonpref_pairs: dict[tuple, str] = {}
         for t in label_triples[subject]:
@@ -308,7 +308,7 @@ def validate_skos(g: Graph, external_graphs=()) -> list:
 
     index = skos_index(g)
     external = [(eg, skos_index(eg)) for eg in external_graphs]
-    for prop in sorted(ns.MAPPING_PROPERTIES, key=lambda i: i.value):
+    for prop in sorted(ns.MAPPING_PROPERTIES):
         for t in g.match(p=prop):
             s_ok = index.is_concept(t.subject)
             local = prop.value[len(ns.SKOS_NS):]
@@ -353,7 +353,7 @@ def validate_skos(g: Graph, external_graphs=()) -> list:
                     make_diagnostic(
                         "DANGLING_MAPPING_TARGET",
                         subject=t.subject,
-                        message="mapping object %s is not present in any registered graph" % o,
+                        message="mapping object %s is not present in any registered graph" % (o,),
                     )
                 )
     return diags

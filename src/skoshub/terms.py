@@ -1,14 +1,28 @@
 """RDF term model: IRIs, literals, blank nodes, triples, prefix maps.
 
-Terms are immutable value objects. Equality and ordering are defined on
-content only, so graphs built in any insertion order serialize identically.
-Each term computes its hash and canonical sort key once, when it is built.
+Each term is a tuple of its canonical sort key, and each triple the tuple
+of its three terms, so hashing, equality and canonical ordering are the
+tuple's own (C code, no Python call):
+
+    Iri        (0, value as UTF-8)
+    BlankNode  (1, label as UTF-8)
+    Literal    (2, lexical, lang, datatype IRI), each UTF-8, "" when absent
+    Triple     (subject, predicate, object)
+
+Equality and ordering are defined on content only, so graphs built in any
+insertion order serialize identically; terms of different kinds never
+compare equal. The text fields (`value`, `label`, `lexical`, `lang`,
+`datatype`; a triple's `subject`, `predicate`, `object`) are read-only
+attributes. An IRI keeps its text beside the key, because a load builds
+each IRI once and reads it often; a literal, built per occurrence and
+mostly read once, decodes `lexical` and `lang` from its key on each read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union
 
 _LANG_RE = re.compile(r"^[a-z]{2,3}(-[a-z0-9]{1,8})*$")
@@ -16,115 +30,121 @@ _BNODE_RE = re.compile(r"^[A-Za-z0-9]+$")
 # what RDF 1.1 IRIREF forbids: U+0000-U+0020, <>"{}|^` and the backslash;
 # and lone surrogates, which no UTF-8 output can hold
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\\ud800-\udfff]')
+_new = tuple.__new__
 
 
 class TermError(ValueError):
     """Raised when a term violates its structural invariants."""
 
 
-def _store_key(term, key: tuple):
-    """Store a checked term's sort key, and its hash taken from that key:
-    equal terms have equal keys, so equal hashes."""
-    object.__setattr__(term, "_key", key)
-    object.__setattr__(term, "_hash", hash(key))
+def _read_only(term, *args):
+    raise AttributeError("%s is immutable" % type(term).__name__)
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    value: str
+class Iri(tuple):
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        v = self.value
-        if not v:
+    def __new__(cls, value: str):
+        if not value:
             raise TermError("empty IRI")
-        if _IRI_FORBIDDEN.search(v):
-            raise TermError("IRI contains forbidden character: %r" % v)
-        colon = v.find(":")
-        slash = v.find("/")
+        if _IRI_FORBIDDEN.search(value):
+            raise TermError("IRI contains forbidden character: %r" % value)
+        colon = value.find(":")
+        slash = value.find("/")
         if colon < 1 or (0 <= slash < colon):
-            raise TermError("IRI has no scheme component: %r" % v)
-        _store_key(self, (0, v.encode("utf-8")))
-
-    def __hash__(self):
-        return self._hash
+            raise TermError("IRI has no scheme component: %r" % value)
+        self = _new(cls, (0, value.encode("utf-8")))
+        self.__dict__["value"] = value
+        return self
 
     def __str__(self):
         return self.value
 
+    def __repr__(self):
+        return "Iri(value=%r)" % self.value
+
     def sort_key(self):
-        return self._key
+        return self
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+class BlankNode(tuple):
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if not _BNODE_RE.match(self.label):
-            raise TermError("invalid blank node label: %r" % self.label)
-        _store_key(self, (1, self.label.encode("utf-8")))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, label: str):
+        if not _BNODE_RE.match(label):
+            raise TermError("invalid blank node label: %r" % label)
+        self = _new(cls, (1, label.encode("utf-8")))
+        self.__dict__["label"] = label
+        return self
 
     def __str__(self):
         return "_:" + self.label
 
+    def __repr__(self):
+        return "BlankNode(label=%r)" % self.label
+
     def sort_key(self):
-        return self._key
+        return self
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    lang: Optional[str] = None
-    datatype: Optional[Iri] = None
+class Literal(tuple):
+    __setattr__ = __delattr__ = _read_only
+    datatype = None  # a literal with a datatype holds that Iri in its instance dict
 
-    def __post_init__(self):
-        if self.lang is not None and self.datatype is not None:
+    def __new__(cls, lexical: str, lang: Optional[str] = None, datatype: Optional[Iri] = None):
+        if lang is not None and datatype is not None:
             raise TermError("literal cannot carry both lang and datatype")
-        if self.lang is not None:
-            lowered = self.lang.lower()
-            if lowered != self.lang:
-                object.__setattr__(self, "lang", lowered)
-            if not _LANG_RE.match(lowered):
-                raise TermError("invalid language tag: %r" % self.lang)
+        if lang is not None:
+            lang = lang.lower()
+            if not _LANG_RE.match(lang):
+                raise TermError("invalid language tag: %r" % lang)
         try:
-            lexical = self.lexical.encode("utf-8")
+            lex = lexical.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 output can hold
-            raise TermError("literal contains a lone surrogate: %r" % self.lexical) from None
-        _store_key(self, (
-            2,
-            lexical,
-            (self.lang or "").encode("utf-8"),
-            (self.datatype.value if self.datatype else "").encode("utf-8"),
-        ))
+            raise TermError("literal contains a lone surrogate: %r" % lexical) from None
+        self = _new(cls, (2, lex, lang.encode("utf-8") if lang else b"", datatype[1] if datatype else b""))
+        if datatype is not None:
+            self.__dict__["datatype"] = datatype
+        return self
 
-    def __hash__(self):
-        return self._hash
+    @property
+    def lexical(self) -> str:
+        return self[1].decode("utf-8")
+
+    @property
+    def lang(self) -> Optional[str]:
+        return self[2].decode("utf-8") or None
+
+    def __repr__(self):
+        return "Literal(lexical=%r, lang=%r, datatype=%r)" % (self.lexical, self.lang, self.datatype)
 
     def sort_key(self):
-        return self._key
+        return self
 
 
 Term = Union[Iri, BlankNode, Literal]
 Subject = Union[Iri, BlankNode]
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Subject
-    predicate: Iri
-    object: Term
+class Triple(tuple):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.subject, Literal):
+    def __new__(cls, subject: Subject, predicate: Iri, object: Term):
+        if isinstance(subject, Literal):
             raise TermError("literal in subject position")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise TermError("predicate must be an IRI")
+        return _new(cls, (subject, predicate, object))
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
+
+    def __repr__(self):
+        return "Triple(subject=%r, predicate=%r, object=%r)" % (self.subject, self.predicate, self.object)
 
     def sort_key(self):
-        return (self.subject.sort_key(), self.predicate.sort_key(), self.object.sort_key())
+        return self
 
 
 @dataclass

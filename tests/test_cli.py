@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from skoshub import ldservice
 from skoshub import namespaces as ns
 from skoshub.cli import main
+from skoshub.graph import Graph
 from skoshub.ldservice import LinkedDataApp
 from skoshub.multistore import MultiStore, load_manifest
 from skoshub.ntriples import format_triple, parse_ntriples, serialize_ntriples
+from skoshub.skosmodel import validate_skos
 from skoshub.terms import Iri, Literal, Triple
 
 from conftest import FIXTURES, LISTING1_LINE, SKOS, STW_CONCEPT, THESOZ_CONCEPT, fixture_manifest_json
@@ -489,6 +492,82 @@ def test_printed_object_reads_back_as_its_own_pattern(tmp_path, capsys):
         assert (code, out) == (0, line + "\n")
         resp = app.handle("GET", "/query?s=%s&o=%s" % (quote(s, safe=""), quote(o, safe="")))
         assert (resp.status, resp.body.decode("utf-8")) == (200, line + "\n")
+
+
+BLANK_NODE_LINE = "<%s> <%srelated> _:b1 ." % (THESOZ_CONCEPT, SKOS)
+
+
+def test_printed_blank_node_reads_back_in_query(tmp_path, capsys):
+    _, manifest_path = thesoz_with_line(tmp_path, BLANK_NODE_LINE)
+    code, out, _ = run(["query", str(manifest_path), "-p", "skos:related"], capsys)
+    assert code == 0 and BLANK_NODE_LINE in out.splitlines()
+    code, out, _ = run(["query", str(manifest_path), "-o", "_:b1"], capsys)
+    assert (code, out) == (0, BLANK_NODE_LINE + "\n")
+
+
+def test_printed_blank_node_reads_back_in_the_query_endpoint(tmp_path):
+    _, manifest_path = thesoz_with_line(tmp_path, BLANK_NODE_LINE)
+    store, config, _ = load_manifest(manifest_path)
+    app = LinkedDataApp(store, config)
+    for path in ("/query?o=_:b1", "/thesoz/query?o=_:b1"):
+        resp = app.handle("GET", path)
+        assert (resp.status, resp.body.decode("utf-8")) == (200, BLANK_NODE_LINE + "\n")
+
+
+def test_raw_carriage_return_in_a_literal_is_a_bad_line(tmp_path, capsys):
+    # RDF 1.1 STRING_LITERAL_QUOTE holds no raw CR or LF; only a line's trailing CR is its end
+    bad, _ = thesoz_with_line(tmp_path, '<http://e.org/a> <http://e.org/p> "x\ry" .')
+    code, out, _ = run(["validate", "--report-json", str(bad)], capsys)
+    assert (code, located(out)) == (1, [("NT_SYNTAX", str(bad), 3)])
+
+
+@pytest.mark.parametrize("token", ['"x\ry"', '"x\ny"@de'], ids=["cr", "lf"])
+def test_raw_line_break_in_a_literal_token_is_malformed(fixture_store, capsys, token):
+    store, config = fixture_store
+    code, _, err = run(["query", str(FIXTURES / "manifest.json"), "-o", token], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert LinkedDataApp(store, config).handle("GET", "/query?o=" + quote(token, safe="")).status == 400
+
+
+def test_no_message_or_output_line_holds_a_term_key(tmp_path, capsys):
+    """Every term in a message or output line is written as text, never as
+    the tuple it is: fixtures with every crosswalk outcome, a label resource
+    without literalForm, and a mapping file with foreign and dangling lines."""
+    odd_mappings = tmp_path / "odd_mappings.nt"
+    odd_mappings.write_text(
+        "<%s> <http://e.org/notAMapping> <%s> .\n<%s> <%sexactMatch> <http://elsewhere.example/x> .\n"
+        % (THESOZ_CONCEPT, STW_CONCEPT, THESOZ_CONCEPT, SKOS), encoding="utf-8")
+    thesoz, manifest_path = thesoz_with_line(
+        tmp_path, "<%s> <http://www.w3.org/2008/05/skos-xl#prefLabel> <http://e.org/label> ." % THESOZ_CONCEPT)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["mappings"].append({"id": "odd", "file": str(odd_mappings)})
+    manifest_path.write_text(json.dumps(manifest))
+    convert = ["convert", "--source", str(thesoz), "--target", str(FIXTURES / "mini_stw.nt"),
+               "--crosswalk", str(FIXTURES / "full.xwalk"), "--output", str(tmp_path / "mappings.nt")]
+    merged = tmp_path / "merged.nt"
+    commands = [
+        convert, convert + ["--report-json"],
+        ["merge", str(manifest_path), "--output", str(merged)],
+        ["merge", str(manifest_path), "--output", str(merged), "--report-json"],
+        ["validate", str(merged), str(thesoz)], ["validate", "--report-json", str(merged), str(thesoz)],
+        ["query", str(manifest_path)], ["query", str(manifest_path), "-p", "skos:prefLabel"],
+        ["query", str(manifest_path), "-s", "<http://e.org/{x}>"],
+    ]
+    codes, written = [], ""
+    for argv in commands:
+        code, out, err = run(argv, capsys)
+        codes.append(code)
+        written += out + err
+    written += (tmp_path / "mappings.nt").read_text(encoding="utf-8") + merged.read_text(encoding="utf-8")
+    # validate_skos's external graphs are reached in process only
+    external = validate_skos(Graph([Triple(Iri(THESOZ_CONCEPT), ns.SKOS_EXACT_MATCH, Iri("http://e.org/x"))]), [Graph()])
+    written += "".join(d.message for d in external)
+    assert codes == [1, 1, 0, 0, 0, 0, 0, 0, 2]
+    for code in ("XWALK_OK", "XL_NO_LITERAL_FORM", "MAPPING_GRAPH_FOREIGN_TRIPLE", "DANGLING_MAPPING_TARGET"):
+        assert code in written
+    assert "mapping object http://e.org/x is not present" in written
+    assert "error: IRI contains forbidden character" in written
+    assert not re.search(r"\([012], b['\"]", written)
 
 
 def test_closed_stdout_exits_2_without_traceback():

@@ -119,3 +119,57 @@ def test_stored_hash_and_sort_key_match_the_fields(recipe):
     assert a == b
     assert a.sort_key() == b.sort_key() == key_from_scratch(a) == key_from_scratch(b)
     assert hash(a) == hash(b) == hash(key_from_scratch(a))
+
+
+# --- a term is the tuple of its sort key, a triple the tuple of its terms ---------
+
+terms = term_recipes.map(lambda recipe: recipe[0](*recipe[1], **recipe[2]))
+# one text as every kind of term, so kinds that differ only in their tag meet
+same_text = st.from_regex(r"[A-Za-z0-9]{1,8}", fullmatch=True).map(
+    lambda v: [Iri("http://e.org/" + v), BlankNode(v), Literal(v), Literal("http://e.org/" + v),
+               Literal(v, datatype=Iri("http://e.org/" + v))])
+subjects = terms.filter(lambda t: not isinstance(t, Literal))
+iris = iri_text.map(Iri)
+
+
+def triple_key_from_scratch(t):
+    return (key_from_scratch(t.subject), key_from_scratch(t.predicate), key_from_scratch(t.object))
+
+
+@given(st.lists(terms, max_size=6).flatmap(lambda ts: same_text.map(lambda more: ts + more)))
+@settings(max_examples=200, deadline=None)
+def test_terms_hash_compare_and_sort_as_their_keys(ts):
+    for a in ts:
+        assert hash(a) == hash(key_from_scratch(a))
+        for b in ts:
+            ka, kb = key_from_scratch(a), key_from_scratch(b)
+            assert ((a == b), (a != b), (a < b), (a <= b)) == ((ka == kb), (ka != kb), (ka < kb), (ka <= kb))
+            if type(a) is not type(b):
+                assert a != b
+    assert sorted(ts) == sorted(ts, key=key_from_scratch)
+
+
+@given(st.lists(st.builds(Triple, subjects, iris, terms), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_triples_hash_compare_and_sort_as_their_terms_keys(triples):
+    assert sorted(triples) == sorted(triples, key=triple_key_from_scratch)
+    for a in triples:
+        assert hash(a) == hash(triple_key_from_scratch(a))
+        for b in triples:
+            assert (a == b) == (triple_key_from_scratch(a) == triple_key_from_scratch(b))
+
+
+FIELDS = {Iri: ["value"], BlankNode: ["label"], Literal: ["lexical", "lang", "datatype"],
+          Triple: ["subject", "predicate", "object"]}
+
+
+@given(st.one_of(terms, st.builds(Triple, subjects, iris, terms)))
+@settings(max_examples=100, deadline=None)
+def test_no_attribute_of_a_term_or_triple_can_be_set(x):
+    for name in FIELDS[type(x)] + ["other"]:
+        before = getattr(x, name, None)
+        with pytest.raises(AttributeError):
+            setattr(x, name, Iri("http://e.org/changed"))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name, None) == before
