@@ -8,6 +8,7 @@ bad invocation).
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -129,6 +130,9 @@ def cmd_serve(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     sys.stderr.write(diagnostics_tsv(diags))
     app = LinkedDataApp(store, config)
+    # the loaded store outlives every request: no collection traverses it
+    gc.freeze()
+    gc.enable()
     try:
         serve(app, address)
     except OSError as e:
@@ -209,23 +213,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Terms and triples hold no reference cycles, so a collection would only
+    # traverse the store. serve turns the collector back on (cmd_serve).
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on bad invocation, matching our contract
-        return int(e.code or 0)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull, so the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: stdout closed before all output was written", file=sys.stderr)
-        return EXIT_FAILURE
-    return code
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            # argparse exits 2 on bad invocation, matching our contract
+            return int(e.code or 0)
+        try:
+            code = args.func(args)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: point it at devnull, so the flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: stdout closed before all output was written", file=sys.stderr)
+            return EXIT_FAILURE
+        return code
+    finally:
+        (gc.enable if collecting else gc.disable)()
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""In-memory triple container with set semantics.
+"""In-memory triple container with set semantics, in load order.
 
 Construction is single-writer; freeze() seals the graph for shared
 read-only use. All lookups return triples in canonical order, read from
 one view: the triples, plus a dict per position from term to the triples
 holding it there. An insert drops the view and `memo` (the index that
-`skosmodel.skos_index` keeps). freeze() sorts once and builds the view in
+`skosmodel.skos_index` keeps). freeze() sorts once (timsort: one pass over
+canonical input, such as a file `merge` wrote) and builds the view in
 canonical order, so a sealed graph (`serve` seals each one before it
 listens) answers without sorting; one still being built sorts each answer.
 """
@@ -22,7 +23,8 @@ class SealedGraphError(RuntimeError):
 
 class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set(triples)  # a set's copy reuses its stored hashes
+        # each triple once, first occurrence first; a dict's copy reuses its stored hashes
+        self._triples: dict[Triple, None] = dict.fromkeys(triples)
         self._view = None  # (triples, by subject, by predicate, by object)
         self._frozen = False
         self.memo = None  # derived view owned by skosmodel.skos_index
@@ -32,7 +34,7 @@ class Graph:
         if self._frozen:
             raise SealedGraphError("graph is sealed")
         n = len(self._triples)
-        self._triples.add(t)
+        self._triples[t] = None
         if len(self._triples) == n:
             return False
         self._view = self.memo = None
@@ -74,7 +76,7 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples
+        return self._triples.keys() == other._triples.keys()
 
     def __hash__(self):
         raise TypeError("graphs are unhashable")

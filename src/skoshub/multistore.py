@@ -86,6 +86,8 @@ class MultiStore:
     def load_mappings(self, id: str, g: Graph) -> list:
         """Store a mapping graph; foreign triples and dangling endpoints are
         kept but reported, the foreign ones first."""
+        if any(existing == id for existing, _ in self.mapping_graphs):
+            raise StoreError("duplicate mapping id %r" % id)
         allowed = self._mapping_predicates()
         combo_type = ns.ext_concept_combination(self.ext_namespace)
         foreign: list[Diagnostic] = []

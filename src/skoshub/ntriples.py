@@ -166,8 +166,9 @@ def utf8_lines(data: Union[bytes, str]) -> list:
 
 def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
     """Parse N-Triples input; every bad line becomes a ParseError record.
-    Each distinct IRI is built once per call (see _iri)."""
-    triples = set()
+    Each distinct IRI is built once per call (see _iri); the Graph gets its
+    triples in file order."""
+    triples = []
     errors: list[ParseError] = []
     iris: dict[str, Iri] = {}
     for lineno, line in enumerate(utf8_lines(data), start=1):
@@ -180,7 +181,7 @@ def parse_ntriples(data: Union[bytes, str]) -> Tuple[Graph, list]:
             errors.append(ParseError(lineno, str(e)))
             continue
         if t is not None:
-            triples.add(t)
+            triples.append(t)
     return Graph(triples), errors
 
 

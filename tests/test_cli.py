@@ -1,18 +1,22 @@
+import gc
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skoshub import ldservice
+from skoshub import cli, ldservice
 from skoshub import namespaces as ns
 from skoshub.cli import main
 from skoshub.graph import Graph
@@ -588,3 +592,120 @@ def test_closed_stdout_exits_2_without_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+FIXTURE_NT = ("mini_thesoz.nt", "mini_stw.nt", "mappings.nt")
+
+
+def batch_outputs(d):
+    """Exit code, stdout and stderr of each batch command, and the files they
+    write, on the fixture manifest and the .nt files in directory d."""
+    manifest = str(d / "manifest.json")
+    results = []
+    for argv in (
+        ["merge", manifest, "--output", str(d / "merged.nt"), "--report-json"],
+        ["convert", "--source", str(d / "mini_thesoz.nt"), "--target", str(d / "mini_stw.nt"),
+         "--crosswalk", str(FIXTURES / "full.xwalk"), "--output", str(d / "converted.nt"), "--report-json"],
+        ["validate", "--report-json"] + [str(d / name) for name in FIXTURE_NT],
+        ["query", manifest],
+        ["query", manifest, "-p", "skos:prefLabel"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            results.append((main(argv), out.getvalue(), err.getvalue()))
+    return results, (d / "merged.nt").read_bytes(), (d / "converted.nt").read_bytes()
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=5))
+@example(0, 0)
+@settings(max_examples=25, deadline=None)
+def test_outputs_do_not_depend_on_input_line_order(seed, repeats):
+    """Every batch output is byte-identical when the lines of each input file
+    are shuffled, with some lines repeated: a graph is its set of triples."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "manifest.json").write_text((FIXTURES / "manifest.json").read_text())
+        for name in FIXTURE_NT:
+            shutil.copy(FIXTURES / name, d / name)
+        canonical = batch_outputs(d)
+        for name in FIXTURE_NT:
+            data = (FIXTURES / name).read_bytes()
+            lines = data.splitlines()
+            lines += rng.choices(lines, k=repeats)
+            rng.shuffle(lines)
+            shuffled = b"\n".join(lines) + b"\n"
+            (d / name).write_bytes(shuffled)
+            g, h = parse_ntriples(shuffled)[0], parse_ntriples(data)[0]
+            assert g == h and list(g.freeze()) == list(h.freeze())
+        assert batch_outputs(d) == canonical
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, collecting):
+    """A batch command runs with the cyclic collector off, and main restores
+    the caller's setting on exit 0, on exit 2 and when stdout is closed."""
+    seen = []
+    monkeypatch.setattr(cli, "load_manifest", lambda path: seen.append(gc.isenabled()) or load_manifest(path))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(fixture_manifest_json(), mappings=fixture_manifest_json()["mappings"] * 2)))
+    fd = os.open(os.devnull, os.O_WRONLY)  # main points the closed stdout's fd at devnull
+    was = gc.isenabled()
+    try:
+        for argv, stdout, code in (
+            (["query", str(FIXTURES / "manifest.json")], io.StringIO(), 0),
+            (["merge", str(bad), "--output", str(tmp_path / "o.nt")], io.StringIO(), 2),
+            (["query", str(FIXTURES / "manifest.json")], ClosedStdout(fd), 2),
+        ):
+            (gc.enable if collecting else gc.disable)()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                assert main(argv) == code
+            assert gc.isenabled() is collecting
+    finally:
+        os.close(fd)
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
+
+
+def test_cyclic_garbage_of_a_batch_command_does_not_grow_with_the_store(tmp_path):
+    """The premise of running without the collector: terms, triples and graphs
+    hold no reference cycles, so what one command leaves for the collector is
+    the same on the fixtures and on a store many times their size."""
+    extra = "".join(
+        "<http://lod.gesis.org/thesoz/concept/g%d> <%s> <%s> .\n"
+        "<http://lod.gesis.org/thesoz/concept/g%d> <%s> <http://lod.gesis.org/thesoz/thesoz> .\n"
+        '<http://lod.gesis.org/thesoz/concept/g%d> <%s> "g %d"@de .\n'
+        % (i, ns.RDF_TYPE.value, ns.SKOS_CONCEPT.value, i, ns.SKOS_IN_SCHEME.value, i, ns.SKOS_PREF_LABEL.value, i)
+        for i in range(400)
+    )
+    big_nt = tmp_path / "big.nt"
+    big_nt.write_text((FIXTURES / "mini_thesoz.nt").read_text() + extra)
+    manifest = fixture_manifest_json()
+    manifest["thesauri"][0]["file"] = str(big_nt)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(manifest))
+    small = str(FIXTURES / "manifest.json")
+    assert len(load_manifest(big)[0].export_merged()) >= 10 * len(load_manifest(small)[0].export_merged())
+
+    def garbage(manifest):
+        gc.collect()
+        with redirect_stderr(io.StringIO()):
+            assert main(["merge", str(manifest), "--output", str(tmp_path / "merged.nt")]) == 0
+        return gc.collect()
+
+    garbage(small)  # the first run's one-time imports and caches
+    assert garbage(big) == garbage(small)

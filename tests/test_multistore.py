@@ -20,7 +20,7 @@ from skoshub.ntriples import parse_ntriples, serialize_ntriples
 from skoshub.skosmodel import extract_concept
 from skoshub.terms import BlankNode, Iri, Literal, Triple
 
-from conftest import FIXTURES, STW_CONCEPT, THESOZ_CONCEPT, load_fixture_graph
+from conftest import FIXTURES, STW_CONCEPT, THESOZ_CONCEPT, fixture_manifest_json, load_fixture_graph
 
 
 def make_store():
@@ -81,6 +81,13 @@ class TestLoadMappings:
     def test_empty_graph_noop(self):
         store = make_store()
         assert store.load_mappings("x", Graph()) == []
+
+    def test_duplicate_id_rejected(self):
+        store = make_store()
+        store.load_mappings("thesoz-stw", listing1_graph())
+        with pytest.raises(StoreError, match="duplicate mapping id 'thesoz-stw'"):
+            store.load_mappings("thesoz-stw", Graph())
+        assert [id for id, _ in store.mapping_graphs] == ["thesoz-stw"]
 
     def test_unregistered_endpoint_retained_with_info(self):
         store = make_store()
@@ -365,6 +372,14 @@ class TestManifest:
         )
         with pytest.raises(StoreError):
             load_manifest(manifest)
+
+    def test_duplicate_mapping_id_raises(self, tmp_path):
+        manifest = fixture_manifest_json()
+        manifest["mappings"] *= 2
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="duplicate mapping id"):
+            load_manifest(path)
 
     def test_bad_json_raises(self, tmp_path):
         manifest = tmp_path / "m.json"
